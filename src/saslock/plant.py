@@ -68,7 +68,6 @@ class LaserState:
     current: float          # A
     temperature: float      # K
     control_voltage: float  # V
-    ramp_phase: float       # [0, 1)
     detuning: float         # Hz relative to carrier
     elapsed: float          # s
 
@@ -78,7 +77,6 @@ def initial_state(cfg: PlantConfig) -> LaserState:
         current=cfg.bias_current,
         temperature=cfg.temp_reference,
         control_voltage=0.0,
-        ramp_phase=0.0,
         detuning=cfg.base_detuning,
         elapsed=0.0,
     )
@@ -128,6 +126,9 @@ def step_plant(
     `inputs` carries temp_setpoint (K), disturbance (K), control_voltage (V)
     and ramp_enabled (bool, ANDed with the ramp config). Raises ModeHopError
     when the new detuning leaves the mode-hop-free envelope.
+
+    `servo.closed_loop_run` writes this update out inline over plain floats;
+    a test replays its logs through this function and requires equal bits.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -162,7 +163,6 @@ def step_plant(
         current=current,
         temperature=temperature,
         control_voltage=control_voltage,
-        ramp_phase=(elapsed * ramp.frequency) % 1.0,
         detuning=detuning,
         elapsed=elapsed,
     )

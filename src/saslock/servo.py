@@ -19,17 +19,31 @@ immediately when the supervisor sees the laser escape the lock point's
 neighborhood (an off-feature laser produces a near-zero error signal, so an
 error threshold alone cannot detect that escape). After a relock delay the
 supervisor sweeps again.
+
+The control law and the supervisor each have one implementation, a function
+over plain floats and tuples (`_pid_update`, `_supervise`). `pid_step` and
+`lock_step` wrap them in the PidState/LockState dataclasses for callers
+that step by hand. `closed_loop_run` is a flat kernel: it sets up the error
+map as lists with per-interval slopes (looked up with numpy's interp
+arithmetic), draws both noise streams in blocks and hoists the plant
+constants, then runs one loop over local floats that calls `_supervise`
+and writes out the plant update of `plant.step_plant`. No dataclass or dict
+is built per step, and the logs are bit-identical to stepping the public
+functions one call at a time.
 """
 
 import math
-from dataclasses import dataclass, replace
+from array import array
+from bisect import bisect_right
+from dataclasses import astuple, dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from .atomic_data import find_feature
 from .errors import ModeHopError, SaslockError, UnlockableError
 from .lineshape import saturation_broadened_width
-from .plant import initial_state, step_plant
+from .plant import ramp_waveform
 from .spectrum import NoiseConfig, error_signal, synthesize_sweep
 
 LOCKLOG_FORMAT_VERSION = "sas-locklog/1"
@@ -78,6 +92,52 @@ class PidState:
     prev_smoothed: float = None
 
 
+# A PID state as plain values: (integrator, prev_error, last_output,
+# error_window, prev_smoothed), the fields of PidState in order.
+_PID_START = (0.0, None, 0.0, (), None)
+
+
+def _pid_gains(cfg: PidConfig):
+    # The integrator rails keep the quiescent output (zero error) inside the
+    # output rails.
+    return (cfg.kp, cfg.ki, cfg.kd, cfg.offset, cfg.output_min, cfg.output_max,
+            cfg.output_min - cfg.offset, cfg.output_max - cfg.offset,
+            cfg.derivative_smoothing)
+
+
+def _pid_update(gains, state, error, dt):
+    """The control law over plain values; returns (new state, control).
+
+    `gains` is `_pid_gains(cfg)` and `state` a PID state tuple. `pid_step`
+    and the closed-loop kernel both run the law through this function.
+    """
+    kp, ki, kd, offset, out_min, out_max, int_min, int_max, smoothing = gains
+    integrator, prev_error, _, window, prev_smoothed = state
+
+    window = (window + (error,))[-smoothing:]
+    smoothed = sum(window) / len(window)
+    if prev_smoothed is None:
+        prev_smoothed = smoothed
+    derivative = (smoothed - prev_smoothed) / dt
+
+    if prev_error is None:
+        prev_error = error
+    # The clamps spell out min(max(x, lo), hi), which costs two calls per
+    # step; the comparisons are the ones min and max make, NaN included.
+    candidate = integrator + ki * 0.5 * (error + prev_error) * dt
+    candidate = int_min if int_min > candidate else candidate
+    candidate = int_max if int_max < candidate else candidate
+
+    raw = kp * error + candidate + kd * derivative + offset
+    control = out_min if out_min > raw else raw
+    control = out_max if out_max < control else control
+
+    # Saturated: integrate only when it pulls the output off the rail.
+    if (raw > out_max and candidate > integrator) or (raw < out_min and candidate < integrator):
+        candidate = integrator
+    return (candidate, error, control, window, smoothed), control
+
+
 def pid_step(cfg: PidConfig, st: PidState, error, dt):
     """One controller update; returns (new state, clamped control output).
 
@@ -86,37 +146,8 @@ def pid_step(cfg: PidConfig, st: PidState, error, dt):
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-
-    window = (st.error_window + (error,))[-cfg.derivative_smoothing:]
-    smoothed = sum(window) / len(window)
-    prev_smoothed = smoothed if st.prev_smoothed is None else st.prev_smoothed
-    derivative = (smoothed - prev_smoothed) / dt
-
-    prev_error = error if st.prev_error is None else st.prev_error
-    candidate = st.integrator + cfg.ki * 0.5 * (error + prev_error) * dt
-    # Quiescent output (zero error) must stay inside the rails.
-    candidate = min(max(candidate, cfg.output_min - cfg.offset), cfg.output_max - cfg.offset)
-
-    raw = cfg.kp * error + candidate + cfg.kd * derivative + cfg.offset
-    control = min(max(raw, cfg.output_min), cfg.output_max)
-
-    if control == raw:
-        integrator = candidate
-    else:
-        # Saturated: integrate only when it pulls the output off the rail.
-        pushes_further = (raw > cfg.output_max and candidate > st.integrator) or (
-            raw < cfg.output_min and candidate < st.integrator
-        )
-        integrator = st.integrator if pushes_further else candidate
-
-    new_state = PidState(
-        integrator=integrator,
-        prev_error=error,
-        last_output=control,
-        error_window=window,
-        prev_smoothed=smoothed,
-    )
-    return new_state, control
+    state, control = _pid_update(_pid_gains(cfg), astuple(st), error, dt)
+    return PidState(*state), control
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +268,7 @@ class LockConfig:
     relock_delay: float = 0.100       # s frozen before re-sweeping
     sweep_time: float = 0.004         # s of ramped sweeping before engage
     filter_time: float = 0.005        # s, lock-detector error filter
-    escape_span_hz: float = None      # None -> 5x broadened dip FWHM
+    escape_span_hz: float = None      # None -> 2x broadened dip FWHM
     lock_threshold_v: float = None    # resolved by the runner
     loss_threshold_v: float = None
 
@@ -261,6 +292,55 @@ class LockState:
     error_filter: float = None  # first-order filtered error, V
 
 
+def _supervisor_law(pid_cfg: PidConfig, lock_cfg: LockConfig, dt):
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    if lock_cfg.lock_threshold_v is None or lock_cfg.loss_threshold_v is None:
+        raise SaslockError("lock thresholds not resolved; use resolve_thresholds()")
+    return (_pid_gains(pid_cfg), lock_cfg.lock_threshold_v, lock_cfg.loss_threshold_v,
+            lock_cfg.hold_time, lock_cfg.loss_time, lock_cfg.relock_delay,
+            lock_cfg.sweep_time, min(1.0, dt / lock_cfg.filter_time))
+
+
+def _supervise(law, phase, time_in_phase, qualify, filtered, pid, error, force_lost, dt):
+    """Supervisor and controller step over plain values.
+
+    `law` is `_supervisor_law(..., dt)`, `filtered` the lock detector's filtered
+    error and `pid` a PID state tuple. Returns (phase, time_in_phase,
+    qualify, filtered, pid, control). `lock_step` and the closed-loop
+    kernel both run the supervisor through this function.
+    """
+    gains, lock_v, loss_v, hold_time, loss_time, relock_delay, sweep_time, alpha = law
+    filtered += alpha * (error - filtered)
+    time_in_phase += dt
+
+    if phase == "sweeping":
+        control = gains[3]  # the PID is held at its quiescent output
+        if time_in_phase >= sweep_time:
+            # The closed loop starts clean.
+            phase, time_in_phase, qualify, filtered, pid = "engaging", 0.0, 0.0, 0.0, _PID_START
+    elif phase == "engaging":
+        pid, control = _pid_update(gains, pid, error, dt)
+        qualify = qualify + dt if abs(filtered) < lock_v else 0.0
+        if qualify >= hold_time:
+            phase, time_in_phase, qualify = "locked", 0.0, 0.0
+    elif phase == "locked":
+        pid, control = _pid_update(gains, pid, error, dt)
+        if force_lost:
+            phase, time_in_phase, qualify = "lost", 0.0, 0.0
+        else:
+            qualify = qualify + dt if abs(filtered) > loss_v else 0.0
+            if qualify >= loss_time:
+                phase, time_in_phase, qualify = "lost", 0.0, 0.0
+    elif phase == "lost":
+        control = pid[2]  # frozen at the last output
+        if time_in_phase >= relock_delay:
+            phase, time_in_phase, qualify, filtered, pid = "sweeping", 0.0, 0.0, 0.0, _PID_START
+    else:
+        raise SaslockError(f"unknown lock phase {phase!r}")
+    return phase, time_in_phase, qualify, filtered, pid, control
+
+
 def lock_step(lock: LockState, pid: PidState, pid_cfg: PidConfig, lock_cfg: LockConfig,
               measurement, dt):
     """Advance supervisor and controller one step.
@@ -268,54 +348,17 @@ def lock_step(lock: LockState, pid: PidState, pid_cfg: PidConfig, lock_cfg: Lock
     measurement: {"error": V (loop-polarity applied), "force_lost": bool}.
     Returns (LockState, PidState, control V, ramp_enable).
     """
-    if lock_cfg.lock_threshold_v is None or lock_cfg.loss_threshold_v is None:
-        raise SaslockError("lock thresholds not resolved; use resolve_thresholds()")
-    error = measurement["error"]
-    force_lost = measurement.get("force_lost", False)
-
-    prev_filter = 0.0 if lock.error_filter is None else lock.error_filter
-    alpha = min(1.0, dt / lock_cfg.filter_time)
-    filtered = prev_filter + alpha * (error - prev_filter)
-
-    phase = lock.phase
-    time_in_phase = lock.time_in_phase + dt
-    qualify = lock.qualify_time
-
-    if phase == "sweeping":
-        control = pid_cfg.offset
-        if time_in_phase >= lock_cfg.sweep_time:
-            phase, time_in_phase, qualify = "engaging", 0.0, 0.0
-            pid = PidState()      # closed loop starts clean
-            filtered = 0.0
-    elif phase == "engaging":
-        pid, control = pid_step(pid_cfg, pid, error, dt)
-        if abs(filtered) < lock_cfg.lock_threshold_v:
-            qualify += dt
-        else:
-            qualify = 0.0
-        if qualify >= lock_cfg.hold_time:
-            phase, time_in_phase, qualify = "locked", 0.0, 0.0
-    elif phase == "locked":
-        pid, control = pid_step(pid_cfg, pid, error, dt)
-        if force_lost:
-            phase, time_in_phase, qualify = "lost", 0.0, 0.0
-        else:
-            if abs(filtered) > lock_cfg.loss_threshold_v:
-                qualify += dt
-            else:
-                qualify = 0.0
-            if qualify >= lock_cfg.loss_time:
-                phase, time_in_phase, qualify = "lost", 0.0, 0.0
-    elif phase == "lost":
-        control = pid.last_output  # frozen
-        if time_in_phase >= lock_cfg.relock_delay:
-            phase, time_in_phase, qualify = "sweeping", 0.0, 0.0
-            pid = PidState()
-            filtered = 0.0
-    else:
-        raise SaslockError(f"unknown lock phase {lock.phase!r}")
-    ramp_enable = phase == "sweeping"
-
+    phase, time_in_phase, qualify, filtered, state, control = _supervise(
+        _supervisor_law(pid_cfg, lock_cfg, dt),
+        lock.phase,
+        lock.time_in_phase,
+        lock.qualify_time,
+        0.0 if lock.error_filter is None else lock.error_filter,
+        astuple(pid),
+        measurement["error"],
+        measurement.get("force_lost", False),
+        dt,
+    )
     new_lock = LockState(
         phase=phase,
         target_feature=lock.target_feature,
@@ -324,7 +367,7 @@ def lock_step(lock: LockState, pid: PidState, pid_cfg: PidConfig, lock_cfg: Lock
         qualify_time=qualify,
         error_filter=filtered,
     )
-    return new_lock, pid, control, ramp_enable
+    return new_lock, PidState(*state), control, phase == "sweeping"
 
 
 def validate_phase_sequence(phases):
@@ -359,10 +402,6 @@ class TimeSeriesLog:
 
     def __len__(self):
         return len(self.t)
-
-    def phase_slice(self, name):
-        mask = np.asarray([p == name for p in self.phase])
-        return mask
 
 
 def resolve_thresholds(lock_cfg: LockConfig, lock_point: LockPoint, dip_fwhm_hz):
@@ -406,6 +445,39 @@ def build_error_map(table, medium, plant_cfg, ramp_cfg, lock_cfg, map_step_hz=0.
     return trace.detuning_axis, curve, lock_point, dip_fwhm
 
 
+# Noise is drawn this many steps at a time: a Generator gives the same
+# values in blocks as in single draws, and a block bounds the memory.
+_NOISE_BLOCK = 8192
+
+
+def _normal_stream(rng, sigma, n):
+    """n draws of normal(0, sigma) from rng, drawn in blocks."""
+    for start in range(0, n, _NOISE_BLOCK):
+        yield from rng.normal(0.0, sigma, min(_NOISE_BLOCK, n - start)).tolist()
+
+
+def _interp(x, xp, fp, slopes):
+    """np.interp(x, xp, fp) for one float, with the same arithmetic.
+
+    xp, fp are lists over an increasing axis and slopes[j] is
+    (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]), as numpy computes it.
+    """
+    if x != x:
+        return x
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j >= len(slopes) or xp[j] == x:
+        return fp[j]
+    y = slopes[j] * (x - xp[j]) + fp[j]
+    if y != y:
+        # numpy retries from the right end, then falls back on a flat segment.
+        y = slopes[j] * (x - xp[j + 1]) + fp[j + 1]
+        if y != y and fp[j] == fp[j + 1]:
+            y = fp[j]
+    return y
+
+
 def closed_loop_run(
     table,
     medium,
@@ -426,8 +498,10 @@ def closed_loop_run(
 
     The spectroscopy readout is quasi-static: at every step the conditioned
     error is interpolated from a precomputed noise-free error map at the
-    plant's instantaneous detuning, plus detector noise. A mode-hop fault
-    aborts the scenario with a partial log (meta["aborted"]).
+    plant's instantaneous detuning, plus detector noise. A mode-hop fault,
+    or a detuning that is no longer finite, aborts the scenario with a
+    partial log (meta["aborted"], meta["abort_reason"]). The loop is the
+    flat kernel described in the module docstring.
     """
     if not duration > 0:
         raise ValueError(f"duration must be > 0, got {duration}")
@@ -436,6 +510,7 @@ def closed_loop_run(
         table, medium, plant_cfg, ramp_cfg, lock_cfg
     )
     lock_cfg = resolve_thresholds(lock_cfg, lock_point, dip_fwhm)
+    law = _supervisor_law(pid_cfg, lock_cfg, dt)
 
     net_gain = plant_cfg.k_ctrl * plant_cfg.k_current  # Hz per control volt
     polarity = -math.copysign(1.0, net_gain * lock_point.slope)
@@ -447,96 +522,109 @@ def closed_loop_run(
     swept = (map_axis >= sweep_lo) & (map_axis <= sweep_hi)
     pre_lock_error_peak = float(np.abs(curve[swept]).max())
 
+    n = int(round(duration / dt))
     seq = np.random.SeedSequence(seed).spawn(2)
     plant_rng = np.random.default_rng(seq[0])
     meas_rng = np.random.default_rng(seq[1])
-    plant_noise_rng = plant_rng if noise_enabled else None
+    if noise_enabled and plant_cfg.linewidth > 0:
+        plant_sigma = math.sqrt(plant_cfg.linewidth / (2.0 * math.pi * dt))
+        plant_noise = _normal_stream(plant_rng, plant_sigma, n)
+    else:
+        plant_noise = repeat(0.0, n)
     meas_sigma = detector_noise_v * math.sqrt(2.0) if noise_enabled else 0.0
+    add_meas_noise = meas_sigma > 0
+    meas_noise = _normal_stream(meas_rng, meas_sigma, n) if add_meas_noise else repeat(0.0, n)
 
-    n = int(round(duration / dt))
-    log_t = np.empty(n)
-    log_detuning = np.empty(n)
-    log_error = np.empty(n)
-    log_control = np.empty(n)
-    log_temperature = np.empty(n)
+    map_x = map_axis.tolist()
+    map_y = curve.tolist()
+    map_slopes = (np.diff(curve) / np.diff(map_axis)).tolist()
+
+    lock_detuning = lock_point.detuning
+    escape_span = lock_cfg.escape_span_hz
+    temp_step_time = disturbances.temp_step_time_s
+    temp_step_k = disturbances.temp_step_k
+    detuning_step_time = disturbances.detuning_step_time_s
+    detuning_step_hz = disturbances.detuning_step_hz
+    k_current = plant_cfg.k_current
+    k_temp = plant_cfg.k_temp
+    k_ctrl = plant_cfg.k_ctrl
+    bias = plant_cfg.bias_current
+    temp_reference = plant_cfg.temp_reference
+    drift_rate = plant_cfg.drift_rate
+    thermal_gain = dt / plant_cfg.tau_thermal
+    half_span = plant_cfg.mode_hop_span / 2.0
+
+    base = lock_detuning if start_locked else plant_cfg.base_detuning
+    detuning = base
+    temperature = temp_reference
+    elapsed = 0.0
+    disturbance = 0.0
+    phase = "locked" if start_locked else "sweeping"
+    time_in_phase = qualify = filtered = 0.0
+    pid = _PID_START
+
+    log_detuning = array("d")
+    log_error = array("d")
+    log_control = array("d")
+    log_temperature = array("d")
     log_phase = []
-
-    state = initial_state(plant_cfg)
-    pid = PidState()
-    lock = LockState(
-        phase="locked" if start_locked else "sweeping",
-        target_feature=lock_cfg.target_feature,
-        lock_point_detuning=lock_point.detuning,
-    )
-    if start_locked:
-        plant_cfg = replace(plant_cfg, base_detuning=lock_point.detuning)
-        state = initial_state(plant_cfg)
-
-    temp_disturbance = 0.0
     aborted = False
     abort_reason = ""
-    steps_done = 0
 
-    for k in range(n):
+    for k, plant_noise_hz, meas_noise_v in zip(range(n), plant_noise, meas_noise):
         t = k * dt
-        if (
-            disturbances.temp_step_time_s is not None
-            and t >= disturbances.temp_step_time_s
-        ):
-            temp_disturbance = disturbances.temp_step_k
+        if temp_step_time is not None and t >= temp_step_time:
+            disturbance = temp_step_k
 
-        error_raw = float(np.interp(state.detuning, map_axis, curve))
-        if meas_sigma > 0:
-            error_raw += meas_rng.normal(0.0, meas_sigma)
+        error_raw = _interp(detuning, map_x, map_y, map_slopes)
+        if add_meas_noise:
+            error_raw += meas_noise_v
 
-        force_lost = lock.phase in ("engaging", "locked") and (
-            abs(state.detuning - lock_point.detuning) > lock_cfg.escape_span_hz
+        force_lost = (phase == "engaging" or phase == "locked") and (
+            abs(detuning - lock_detuning) > escape_span
         )
-
-        prev_phase = lock.phase
-        lock, pid, control, ramp_enable = lock_step(
-            lock, pid, pid_cfg, lock_cfg, {"error": polarity * error_raw, "force_lost": force_lost}, dt
+        prev_phase = phase
+        phase, time_in_phase, qualify, filtered, pid, control = _supervise(
+            law, phase, time_in_phase, qualify, filtered, pid, polarity * error_raw,
+            force_lost, dt,
         )
-
-        if prev_phase == "sweeping" and lock.phase == "engaging":
+        if prev_phase == "sweeping" and phase == "engaging":
             # Engage: park the laser on the lock point before closing the loop.
-            snap = (
-                lock_point.detuning
-                - net_gain * control
-                - plant_cfg.k_temp * (state.temperature - plant_cfg.temp_reference)
-            )
-            plant_cfg = replace(plant_cfg, base_detuning=snap)
+            base = lock_detuning - net_gain * control - k_temp * (temperature - temp_reference)
 
-        inputs = {
-            "temp_setpoint": plant_cfg.temp_reference,
-            "disturbance": temp_disturbance,
-            "control_voltage": control,
-            "ramp_enabled": ramp_enable,
-        }
-        try:
-            state = step_plant(state, plant_cfg, ramp_cfg, inputs, dt, plant_noise_rng)
-        except ModeHopError as exc:
+        # The plant update of step_plant.
+        elapsed += dt
+        target = temp_reference + drift_rate * elapsed + disturbance
+        temperature += thermal_gain * (target - temperature)
+        current = bias + k_ctrl * control
+        ramp_offset = ramp_waveform(elapsed, ramp_cfg) if phase == "sweeping" else 0.0
+        detuning = (
+            base
+            + k_current * (current - bias)
+            + k_temp * (temperature - temp_reference)
+            + ramp_offset
+            + plant_noise_hz
+        )
+        # Written so that a NaN detuning fails the envelope test too.
+        if not abs(detuning - base) <= half_span:
             aborted = True
-            abort_reason = str(exc)
-            steps_done = k
+            if math.isfinite(detuning):
+                abort_reason = str(ModeHopError(detuning, plant_cfg.mode_hop_span, elapsed))
+            else:
+                abort_reason = (
+                    f"non-finite state: detuning {detuning!r} Hz, control {control!r} V "
+                    f"at t={elapsed:.6f} s"
+                )
             break
 
-        if (
-            disturbances.detuning_step_time_s is not None
-            and t < disturbances.detuning_step_time_s <= t + dt
-        ):
-            plant_cfg = replace(
-                plant_cfg,
-                base_detuning=plant_cfg.base_detuning + disturbances.detuning_step_hz,
-            )
+        if detuning_step_time is not None and t < detuning_step_time <= t + dt:
+            base += detuning_step_hz
 
-        log_t[k] = t
-        log_detuning[k] = state.detuning
-        log_error[k] = error_raw
-        log_control[k] = control
-        log_temperature[k] = state.temperature
-        log_phase.append(lock.phase)
-        steps_done = k + 1
+        log_detuning.append(detuning)
+        log_error.append(error_raw)
+        log_control.append(control)
+        log_temperature.append(temperature)
+        log_phase.append(phase)
 
     meta = {
         "format": LOCKLOG_FORMAT_VERSION,
@@ -553,12 +641,12 @@ def closed_loop_run(
         "abort_reason": abort_reason,
     }
     return TimeSeriesLog(
-        t=log_t[:steps_done],
-        detuning=log_detuning[:steps_done],
-        error=log_error[:steps_done],
-        control=log_control[:steps_done],
-        temperature=log_temperature[:steps_done],
-        phase=log_phase[:steps_done],
+        t=np.arange(len(log_phase)) * dt,
+        detuning=np.frombuffer(log_detuning),
+        error=np.frombuffer(log_error),
+        control=np.frombuffer(log_control),
+        temperature=np.frombuffer(log_temperature),
+        phase=log_phase,
         meta=meta,
     )
 

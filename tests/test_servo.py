@@ -1,18 +1,25 @@
 """PID controller, lock-point finder, state machine, and closed loop."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saslock.errors import SaslockError, UnlockableError
-from saslock.plant import PlantConfig, RampConfig
+from saslock.plant import PlantConfig, RampConfig, initial_state, step_plant
 from saslock.servo import (
+    _PID_START,
     Disturbances,
     LockConfig,
     LockState,
     PidConfig,
     PidState,
+    _interp,
+    _pid_gains,
+    _pid_update,
     closed_loop_run,
     find_lock_point,
     lock_step,
@@ -103,6 +110,96 @@ class TestPid:
             PidConfig(output_min=1.0, output_max=-1.0)
         with pytest.raises(ValueError):
             PidConfig(derivative_smoothing=0)
+
+
+def reference_pid_step(cfg, st, error, dt):
+    """The PID law as first written over PidState, kept as the reference."""
+    window = (st.error_window + (error,))[-cfg.derivative_smoothing:]
+    smoothed = sum(window) / len(window)
+    prev_smoothed = smoothed if st.prev_smoothed is None else st.prev_smoothed
+    derivative = (smoothed - prev_smoothed) / dt
+    prev_error = error if st.prev_error is None else st.prev_error
+    candidate = st.integrator + cfg.ki * 0.5 * (error + prev_error) * dt
+    candidate = min(max(candidate, cfg.output_min - cfg.offset), cfg.output_max - cfg.offset)
+    raw = cfg.kp * error + candidate + cfg.kd * derivative + cfg.offset
+    control = min(max(raw, cfg.output_min), cfg.output_max)
+    if control == raw:
+        integrator = candidate
+    else:
+        pushes_further = (raw > cfg.output_max and candidate > st.integrator) or (
+            raw < cfg.output_min and candidate < st.integrator
+        )
+        integrator = st.integrator if pushes_further else candidate
+    return PidState(integrator, error, control, window, smoothed), control
+
+
+def bounded(limit):
+    return st.floats(-limit, limit, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def pid_configs(draw):
+    low = draw(st.floats(-100.0, 100.0))
+    return PidConfig(
+        kp=draw(bounded(1e3)),
+        ki=draw(bounded(1e6)),
+        kd=draw(bounded(1e3)),
+        offset=draw(bounded(100.0)),
+        output_min=low,
+        output_max=low + draw(st.floats(1e-6, 100.0)),
+        derivative_smoothing=draw(st.integers(1, 8)),
+    )
+
+
+class TestPidProperties:
+    """Properties of the control law over physical magnitudes.
+
+    Errors, gains and steps are bounded so that no term overflows; where
+    one does, the law can produce NaN (see CHANGES.md).
+    """
+
+    cases = dict(
+        cfg=pid_configs(),
+        errors=st.lists(bounded(1e3), min_size=1, max_size=40),
+        dt=st.floats(1e-7, 10.0),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(**cases)
+    def test_output_inside_rails(self, cfg, errors, dt):
+        state = PidState()
+        for error in errors:
+            state, control = pid_step(cfg, state, error, dt)
+            assert cfg.output_min <= control <= cfg.output_max
+
+    @settings(max_examples=200, deadline=None)
+    @given(**cases)
+    def test_wrapper_kernel_and_reference_agree(self, cfg, errors, dt):
+        gains = _pid_gains(cfg)
+        state, kernel_state, ref_state = PidState(), _PID_START, PidState()
+        for error in errors:
+            state, control = pid_step(cfg, state, error, dt)
+            kernel_state, kernel_control = _pid_update(gains, kernel_state, error, dt)
+            ref_state, ref_control = reference_pid_step(cfg, ref_state, error, dt)
+            assert repr(state) == repr(ref_state) == repr(PidState(*kernel_state))
+            assert repr(control) == repr(kernel_control) == repr(ref_control)
+
+
+@st.composite
+def interp_cases(draw):
+    xp = sorted(draw(st.lists(bounded(1e9), min_size=2, max_size=30, unique=True)))
+    fp = draw(st.lists(bounded(1.0), min_size=len(xp), max_size=len(xp)))
+    x = draw(st.one_of(bounded(2e9), st.sampled_from(xp)))
+    return x, xp, fp
+
+
+@settings(max_examples=300, deadline=None)
+@given(interp_cases())
+def test_interp_matches_numpy_bitwise(case):
+    x, xp, fp = case
+    with np.errstate(over="ignore"):  # knots a few ulps apart give infinite slopes
+        slopes = (np.diff(fp) / np.diff(xp)).tolist()
+    assert repr(_interp(x, xp, fp, slopes)) == repr(float(np.interp(x, xp, fp)))
 
 
 def dip_trace(center=0.0, amplitude=0.2, width=10e6, span=60e6, n=601):
@@ -331,6 +428,42 @@ class TestClosedLoop:
         validate_phase_sequence(log.phase)
         assert "lost" in log.phase
         assert log.phase[-1] == "locked"  # supervisor re-acquired
+
+    def test_non_finite_state_aborts(self, table, default_cfg):
+        log = closed_loop_run(
+            table, default_cfg.medium, PLANT, RAMP, PidConfig(kp=float("nan")), LockConfig(),
+            duration=0.1,
+        )
+        assert log.meta["aborted"]
+        assert "non-finite" in log.meta["abort_reason"]
+        # The step that engages still holds the quiescent output; the first
+        # closed-loop step after it makes the detuning NaN and aborts.
+        assert set(log.phase[:-1]) == {"sweeping"} and log.phase[-1] == "engaging"
+        assert np.isfinite(log.detuning).all() and np.isfinite(log.control).all()
+
+    def test_plant_update_matches_step_plant(self, table, default_cfg):
+        # Locked from the start, the base detuning never moves, so replaying
+        # the logged control through step_plant with the same noise stream
+        # reproduces the kernel's plant bit for bit.
+        dt, seed = 1e-4, 5
+        disturbances = Disturbances(temp_step_k=0.05, temp_step_time_s=0.02)
+        log = closed_loop_run(
+            table, default_cfg.medium, PLANT, RAMP, PidConfig(), LockConfig(),
+            duration=0.05, dt=dt, seed=seed, start_locked=True, disturbances=disturbances,
+        )
+        cfg = replace(PLANT, base_detuning=log.meta["lock_point_hz"])
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+        state = initial_state(cfg)
+        for k in range(len(log)):
+            disturbance = 0.05 if k * dt >= 0.02 else 0.0
+            inputs = {
+                "disturbance": disturbance,
+                "control_voltage": log.control[k],
+                "ramp_enabled": log.phase[k] == "sweeping",
+            }
+            state = step_plant(state, cfg, RAMP, inputs, dt, rng)
+            assert state.detuning == log.detuning[k]
+            assert state.temperature == log.temperature[k]
 
     def test_mode_hop_aborts_with_partial_log(self, table, default_cfg):
         tiny = replace(PLANT, mode_hop_span=2.0e9)
