@@ -12,6 +12,7 @@ and no wall-clock time enters any artifact, so reruns are byte-identical.
 """
 
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -563,8 +564,7 @@ def run_lock_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None) -> 
     seed = cfg.noise.seed if seed is None else seed
     log = _run_closed_loop(cfg, seed, cfg.run.lock_duration_s)
 
-    artifacts = [_write_locklog(log, out_dir, "lock_timeseries.csv")]
-    artifacts.append(_write_artifact(out_dir, "lock_timeseries.svg", _locklog_svg(log)))
+    artifacts = _write_locklog(log, out_dir, "lock_timeseries")
 
     criteria = []
     measured = {
@@ -577,7 +577,8 @@ def run_lock_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None) -> 
     criteria.append(
         Criterion("lock_achieved", final_locked, float(final_locked), "final phase locked")
     )
-    if final_locked and locked_mask.any():
+    completed = _check_completed(log, criteria, measured)
+    if completed and final_locked and locked_mask.any():
         window = locked_mask & (log.t >= log.t[-1] - 1.0)
         rms = float(np.sqrt(np.mean(log.error[window] ** 2)))
         peak = log.meta["pre_lock_error_peak_v"]
@@ -624,8 +625,7 @@ def run_temp_step_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None
     disturbances = Disturbances(temp_step_k=cfg.run.temp_step_k, temp_step_time_s=t_step)
     log = _run_closed_loop(cfg, seed, cfg.run.temp_step_duration_s, disturbances)
 
-    artifacts = [_write_locklog(log, out_dir, "temp_step_timeseries.csv")]
-    artifacts.append(_write_artifact(out_dir, "temp_step_timeseries.svg", _locklog_svg(log)))
+    artifacts = _write_locklog(log, out_dir, "temp_step_timeseries")
 
     criteria = []
     measured = {"phase_history": _phase_history(log), "temp_step_k": cfg.run.temp_step_k}
@@ -635,7 +635,8 @@ def run_temp_step_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None
     criteria.append(
         Criterion("locked_before_step", locked_before, float(locked_before), "locked at step time")
     )
-    if not locked_before or log.meta["aborted"]:
+    completed = _check_completed(log, criteria, measured)
+    if not (locked_before and completed):
         report = ExperimentReport(
             "temp_step", False, criteria, measured, artifacts, cfg.fingerprint(), seed
         )
@@ -772,12 +773,24 @@ def _odd(n):
     return n if n % 2 else n + 1
 
 
-def _write_locklog(log, out_dir, name):
-    import io
+def _check_completed(log, criteria, measured):
+    """Fail a report whose closed-loop run aborted, recording why it stopped."""
+    if log.meta["aborted"]:
+        measured["abort_reason"] = log.meta["abort_reason"]
+        criteria.append(
+            Criterion("run_completed", False, 0.0, "no abort before the end of the run")
+        )
+    return not log.meta["aborted"]
 
+
+def _write_locklog(log, out_dir, stem):
+    """Write a run's time series as CSV and, unless it is empty, as SVG."""
     buf = io.StringIO()
     write_locklog_csv(log, buf)
-    return _write_artifact(out_dir, name, buf.getvalue())
+    artifacts = [_write_artifact(out_dir, f"{stem}.csv", buf.getvalue())]
+    if len(log):
+        artifacts.append(_write_artifact(out_dir, f"{stem}.svg", _locklog_svg(log)))
+    return artifacts
 
 
 def _locklog_svg(log):

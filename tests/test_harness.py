@@ -151,6 +151,17 @@ class TestLockExperiment:
         phases = [h["phase"] for h in report.measured["phase_history"]]
         assert phases == ["sweeping", "engaging", "locked"]
 
+    def test_mode_hop_abort_fails_report(self, default_cfg, tmp_path):
+        # The ramp leaves a 2 GHz envelope on the first step: the log is empty.
+        cfg = replace(default_cfg, plant=replace(default_cfg.plant, mode_hop_span=2.0e9))
+        report = run_lock_experiment(cfg, tmp_path)
+        assert not report.passed
+        assert "mode hop" in report.measured["abort_reason"]
+        by_name = {c.name: c for c in report.criteria}
+        assert not by_name["run_completed"].passed
+        assert report.artifacts == ["lock_timeseries.csv", "lock_report.json"]
+        assert json.loads((tmp_path / "lock_report.json").read_text())["passed"] is False
+
 
 class TestTempStepExperiment:
     def test_positive_step_2p8v(self, temp_step_pos):
@@ -173,6 +184,24 @@ class TestTempStepExperiment:
         report = run_temp_step_experiment(cfg, tmp_path)
         assert report.passed
         assert abs(report.measured["delta_control_v"]) < 0.056
+
+    def test_abort_after_lock_fails_report(self, default_cfg, tmp_path):
+        # An infinite step locks first, then drives the state non-finite.
+        cfg = replace(
+            default_cfg,
+            run=replace(
+                default_cfg.run,
+                temp_step_k=float("inf"),
+                temp_step_time_s=0.1,
+                temp_step_duration_s=0.2,
+            ),
+        )
+        report = run_temp_step_experiment(cfg, tmp_path)
+        by_name = {c.name: c for c in report.criteria}
+        assert by_name["locked_before_step"].passed
+        assert not by_name["run_completed"].passed
+        assert not report.passed
+        assert "non-finite" in report.measured["abort_reason"]
 
     def test_resettle_metrics_present(self, temp_step_pos):
         report, _ = temp_step_pos
