@@ -783,11 +783,15 @@ def _check_completed(log, criteria, measured):
     return not log.meta["aborted"]
 
 
-def _write_locklog(log, out_dir, stem):
-    """Write a run's time series as CSV and, unless it is empty, as SVG."""
+def _locklog_csv(log):
     buf = io.StringIO()
     write_locklog_csv(log, buf)
-    artifacts = [_write_artifact(out_dir, f"{stem}.csv", buf.getvalue())]
+    return buf.getvalue()
+
+
+def _write_locklog(log, out_dir, stem):
+    """Write a run's time series as CSV and, unless it is empty, as SVG."""
+    artifacts = [_write_artifact(out_dir, f"{stem}.csv", _locklog_csv(log))]
     if len(log):
         artifacts.append(_write_artifact(out_dir, f"{stem}.svg", _locklog_svg(log)))
     return artifacts

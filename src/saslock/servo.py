@@ -33,7 +33,6 @@ functions one call at a time.
 """
 
 import math
-from array import array
 from bisect import bisect_right
 from dataclasses import astuple, dataclass, replace
 from itertools import repeat
@@ -447,7 +446,7 @@ def build_error_map(table, medium, plant_cfg, ramp_cfg, lock_cfg, map_step_hz=0.
 
 # Noise is drawn this many steps at a time: a Generator gives the same
 # values in blocks as in single draws, and a block bounds the memory.
-_NOISE_BLOCK = 8192
+_NOISE_BLOCK = 1024
 
 
 def _normal_stream(rng, sigma, n):
@@ -563,10 +562,10 @@ def closed_loop_run(
     time_in_phase = qualify = filtered = 0.0
     pid = _PID_START
 
-    log_detuning = array("d")
-    log_error = array("d")
-    log_control = array("d")
-    log_temperature = array("d")
+    log_detuning = np.empty(n)
+    log_error = np.empty(n)
+    log_control = np.empty(n)
+    log_temperature = np.empty(n)
     log_phase = []
     aborted = False
     abort_reason = ""
@@ -620,10 +619,10 @@ def closed_loop_run(
         if detuning_step_time is not None and t < detuning_step_time <= t + dt:
             base += detuning_step_hz
 
-        log_detuning.append(detuning)
-        log_error.append(error_raw)
-        log_control.append(control)
-        log_temperature.append(temperature)
+        log_detuning[k] = detuning
+        log_error[k] = error_raw
+        log_control[k] = control
+        log_temperature[k] = temperature
         log_phase.append(phase)
 
     meta = {
@@ -640,12 +639,13 @@ def closed_loop_run(
         "aborted": aborted,
         "abort_reason": abort_reason,
     }
+    steps = len(log_phase)
     return TimeSeriesLog(
-        t=np.arange(len(log_phase)) * dt,
-        detuning=np.frombuffer(log_detuning),
-        error=np.frombuffer(log_error),
-        control=np.frombuffer(log_control),
-        temperature=np.frombuffer(log_temperature),
+        t=np.arange(steps) * dt,
+        detuning=log_detuning[:steps],
+        error=log_error[:steps],
+        control=log_control[:steps],
+        temperature=log_temperature[:steps],
         phase=log_phase,
         meta=meta,
     )
