@@ -791,6 +791,8 @@ def _locklog_csv(log):
 
 def _write_locklog(log, out_dir, stem):
     """Write a run's time series as CSV and, unless it is empty, as SVG."""
+    # The CSV text is built in its own call so that its buffer is freed
+    # before the SVG is rendered; holding both raises peak memory.
     artifacts = [_write_artifact(out_dir, f"{stem}.csv", _locklog_csv(log))]
     if len(log):
         artifacts.append(_write_artifact(out_dir, f"{stem}.svg", _locklog_svg(log)))

@@ -164,7 +164,7 @@ class TestPidProperties:
         dt=st.floats(1e-7, 10.0),
     )
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(**cases)
     def test_output_inside_rails(self, cfg, errors, dt):
         state = PidState()
@@ -172,7 +172,7 @@ class TestPidProperties:
             state, control = pid_step(cfg, state, error, dt)
             assert cfg.output_min <= control <= cfg.output_max
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(**cases)
     def test_wrapper_kernel_and_reference_agree(self, cfg, errors, dt):
         gains = _pid_gains(cfg)
@@ -193,7 +193,7 @@ def interp_cases(draw):
     return x, xp, fp
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(interp_cases())
 def test_interp_matches_numpy_bitwise(case):
     x, xp, fp = case
