@@ -1,12 +1,10 @@
 """PID controller, lock-point finder, state machine, and closed loop."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings, strategies
 
 from saslock.errors import SaslockError, UnlockableError
 from saslock.plant import PlantConfig, RampConfig, initial_state, step_plant
@@ -134,20 +132,20 @@ def reference_pid_step(cfg, st, error, dt):
 
 
 def bounded(limit):
-    return st.floats(-limit, limit, allow_nan=False, allow_infinity=False)
+    return strategies.floats(-limit, limit, allow_nan=False, allow_infinity=False)
 
 
-@st.composite
+@strategies.composite
 def pid_configs(draw):
-    low = draw(st.floats(-100.0, 100.0))
+    low = draw(strategies.floats(-100.0, 100.0))
     return PidConfig(
         kp=draw(bounded(1e3)),
         ki=draw(bounded(1e6)),
         kd=draw(bounded(1e3)),
         offset=draw(bounded(100.0)),
         output_min=low,
-        output_max=low + draw(st.floats(1e-6, 100.0)),
-        derivative_smoothing=draw(st.integers(1, 8)),
+        output_max=low + draw(strategies.floats(1e-6, 100.0)),
+        derivative_smoothing=draw(strategies.integers(1, 8)),
     )
 
 
@@ -160,8 +158,8 @@ class TestPidProperties:
 
     cases = dict(
         cfg=pid_configs(),
-        errors=st.lists(bounded(1e3), min_size=1, max_size=40),
-        dt=st.floats(1e-7, 10.0),
+        errors=strategies.lists(bounded(1e3), min_size=1, max_size=40),
+        dt=strategies.floats(1e-7, 10.0),
     )
 
     @settings(max_examples=100, deadline=None)
@@ -185,11 +183,11 @@ class TestPidProperties:
             assert repr(control) == repr(kernel_control) == repr(ref_control)
 
 
-@st.composite
+@strategies.composite
 def interp_cases(draw):
-    xp = sorted(draw(st.lists(bounded(1e9), min_size=2, max_size=30, unique=True)))
-    fp = draw(st.lists(bounded(1.0), min_size=len(xp), max_size=len(xp)))
-    x = draw(st.one_of(bounded(2e9), st.sampled_from(xp)))
+    xp = sorted(draw(strategies.lists(bounded(1e9), min_size=2, max_size=30, unique=True)))
+    fp = draw(strategies.lists(bounded(1.0), min_size=len(xp), max_size=len(xp)))
+    x = draw(strategies.one_of(bounded(2e9), strategies.sampled_from(xp)))
     return x, xp, fp
 
 
