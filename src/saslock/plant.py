@@ -113,6 +113,44 @@ def frequency_noise_sample(linewidth, dt, rng):
     return rng.normal(0.0, math.sqrt(linewidth / (2.0 * math.pi * dt)))
 
 
+def _plant_constants(cfg: PlantConfig, dt):
+    """The constants of `_plant_update` for one config and time step."""
+    return (dt, cfg.k_current, cfg.k_temp, cfg.k_ctrl, cfg.bias_current,
+            cfg.temp_reference, cfg.drift_rate, dt / cfg.tau_thermal,
+            cfg.mode_hop_span, cfg.mode_hop_span / 2.0)
+
+
+def _plant_update(consts, temperature, elapsed, base, setpoint, disturbance, control,
+                  ramp, noise):
+    """The plant update over plain floats; returns (temperature, elapsed,
+    current, detuning).
+
+    `consts` is `_plant_constants(cfg, dt)`, `base` the detuning at bias
+    current and reference temperature, and `ramp` a RampConfig whose
+    waveform is added, or None. Raises ModeHopError when the detuning
+    leaves the envelope around `base` or is not finite. `step_plant` and
+    the closed-loop kernel both run the plant through this function.
+    """
+    (dt, k_current, k_temp, k_ctrl, bias, temp_reference, drift_rate, thermal_gain,
+     span, half_span) = consts
+    elapsed += dt
+    target = setpoint + drift_rate * elapsed + disturbance
+    temperature += thermal_gain * (target - temperature)
+    current = bias + k_ctrl * control
+    ramp_offset = 0.0 if ramp is None else ramp_waveform(elapsed, ramp)
+    detuning = (
+        base
+        + k_current * (current - bias)
+        + k_temp * (temperature - temp_reference)
+        + ramp_offset
+        + noise
+    )
+    # Written so that a NaN detuning fails the envelope test too.
+    if not abs(detuning - base) <= half_span:
+        raise ModeHopError(detuning, span, elapsed)
+    return temperature, elapsed, current, detuning
+
+
 def step_plant(
     state: LaserState,
     cfg: PlantConfig,
@@ -125,40 +163,25 @@ def step_plant(
 
     `inputs` carries temp_setpoint (K), disturbance (K), control_voltage (V)
     and ramp_enabled (bool, ANDed with the ramp config). Raises ModeHopError
-    when the new detuning leaves the mode-hop-free envelope.
-
-    `servo.closed_loop_run` writes this update out inline over plain floats;
-    a test replays its logs through this function and requires equal bits.
+    when the new detuning leaves the mode-hop-free envelope or is not finite.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    temp_setpoint = inputs.get("temp_setpoint", cfg.temp_reference)
-    disturbance = inputs.get("disturbance", 0.0)
     control_voltage = inputs.get("control_voltage", state.control_voltage)
-    ramp_enabled = inputs.get("ramp_enabled", True)
-
-    elapsed = state.elapsed + dt
-    target = temp_setpoint + cfg.drift_rate * elapsed + disturbance
-    temperature = state.temperature + (dt / cfg.tau_thermal) * (target - state.temperature)
-
-    current = cfg.bias_current + cfg.k_ctrl * control_voltage
-
-    ramp_offset = ramp_waveform(elapsed, ramp) if ramp_enabled else 0.0
-
     noise = 0.0
     if rng is not None and cfg.linewidth > 0:
         noise = frequency_noise_sample(cfg.linewidth, dt, rng)
-
-    detuning = (
-        cfg.base_detuning
-        + cfg.k_current * (current - cfg.bias_current)
-        + cfg.k_temp * (temperature - cfg.temp_reference)
-        + ramp_offset
-        + noise
+    temperature, elapsed, current, detuning = _plant_update(
+        _plant_constants(cfg, dt),
+        state.temperature,
+        state.elapsed,
+        cfg.base_detuning,
+        inputs.get("temp_setpoint", cfg.temp_reference),
+        inputs.get("disturbance", 0.0),
+        control_voltage,
+        ramp if inputs.get("ramp_enabled", True) else None,
+        noise,
     )
-    if abs(detuning - cfg.base_detuning) > cfg.mode_hop_span / 2.0:
-        raise ModeHopError(detuning, cfg.mode_hop_span, elapsed)
-
     return LaserState(
         current=current,
         temperature=temperature,

@@ -26,9 +26,9 @@ over plain floats and tuples (`_pid_update`, `_supervise`). `pid_step` and
 that step by hand. `closed_loop_run` is a flat kernel: it sets up the error
 map as lists with per-interval slopes (looked up with numpy's interp
 arithmetic), draws both noise streams in blocks and hoists the plant
-constants, then runs one loop over local floats that calls `_supervise`
-and writes out the plant update of `plant.step_plant`. No dataclass or dict
-is built per step, and the logs are bit-identical to stepping the public
+constants, then runs one loop over local floats that calls `_supervise` and
+`plant._plant_update`, the function under `plant.step_plant`. No dataclass
+or dict is built per step, and the logs are bit-identical to stepping the public
 functions one call at a time.
 """
 
@@ -42,7 +42,7 @@ import numpy as np
 from .atomic_data import find_feature
 from .errors import ModeHopError, SaslockError, UnlockableError
 from .lineshape import saturation_broadened_width
-from .plant import ramp_waveform
+from .plant import _plant_constants, _plant_update
 from .spectrum import NoiseConfig, error_signal, synthesize_sweep
 
 LOCKLOG_FORMAT_VERSION = "sas-locklog/1"
@@ -292,8 +292,6 @@ class LockState:
 
 
 def _supervisor_law(pid_cfg: PidConfig, lock_cfg: LockConfig, dt):
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
     if lock_cfg.lock_threshold_v is None or lock_cfg.loss_threshold_v is None:
         raise SaslockError("lock thresholds not resolved; use resolve_thresholds()")
     return (_pid_gains(pid_cfg), lock_cfg.lock_threshold_v, lock_cfg.loss_threshold_v,
@@ -347,8 +345,12 @@ def lock_step(lock: LockState, pid: PidState, pid_cfg: PidConfig, lock_cfg: Lock
     measurement: {"error": V (loop-polarity applied), "force_lost": bool}.
     Returns (LockState, PidState, control V, ramp_enable).
     """
+    law = _supervisor_law(pid_cfg, lock_cfg, dt)
+    if lock.phase in ("engaging", "locked") and not dt > 0:
+        # Only the PID needs a positive step, as in pid_step.
+        raise ValueError(f"dt must be > 0, got {dt}")
     phase, time_in_phase, qualify, filtered, state, control = _supervise(
-        _supervisor_law(pid_cfg, lock_cfg, dt),
+        law,
         lock.phase,
         lock.time_in_phase,
         lock.qualify_time,
@@ -445,7 +447,8 @@ def build_error_map(table, medium, plant_cfg, ramp_cfg, lock_cfg, map_step_hz=0.
 
 
 # Noise is drawn this many steps at a time: a Generator gives the same
-# values in blocks as in single draws, and a block bounds the memory.
+# values in blocks as in single draws. One block of n draws per stream, as
+# a list of floats, raised the peak RSS of `saslock all` by about 4 MB.
 _NOISE_BLOCK = 1024
 
 
@@ -504,6 +507,8 @@ def closed_loop_run(
     """
     if not duration > 0:
         raise ValueError(f"duration must be > 0, got {duration}")
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
 
     map_axis, curve, lock_point, dip_fwhm = build_error_map(
         table, medium, plant_cfg, ramp_cfg, lock_cfg
@@ -544,14 +549,9 @@ def closed_loop_run(
     temp_step_k = disturbances.temp_step_k
     detuning_step_time = disturbances.detuning_step_time_s
     detuning_step_hz = disturbances.detuning_step_hz
-    k_current = plant_cfg.k_current
+    plant = _plant_constants(plant_cfg, dt)
     k_temp = plant_cfg.k_temp
-    k_ctrl = plant_cfg.k_ctrl
-    bias = plant_cfg.bias_current
     temp_reference = plant_cfg.temp_reference
-    drift_rate = plant_cfg.drift_rate
-    thermal_gain = dt / plant_cfg.tau_thermal
-    half_span = plant_cfg.mode_hop_span / 2.0
 
     base = lock_detuning if start_locked else plant_cfg.base_detuning
     detuning = base
@@ -570,60 +570,49 @@ def closed_loop_run(
     aborted = False
     abort_reason = ""
 
-    for k, plant_noise_hz, meas_noise_v in zip(range(n), plant_noise, meas_noise):
-        t = k * dt
-        if temp_step_time is not None and t >= temp_step_time:
-            disturbance = temp_step_k
+    try:
+        for k, plant_noise_hz, meas_noise_v in zip(range(n), plant_noise, meas_noise):
+            t = k * dt
+            if temp_step_time is not None and t >= temp_step_time:
+                disturbance = temp_step_k
 
-        error_raw = _interp(detuning, map_x, map_y, map_slopes)
-        if add_meas_noise:
-            error_raw += meas_noise_v
+            error_raw = _interp(detuning, map_x, map_y, map_slopes)
+            if add_meas_noise:
+                error_raw += meas_noise_v
 
-        force_lost = (phase == "engaging" or phase == "locked") and (
-            abs(detuning - lock_detuning) > escape_span
-        )
-        prev_phase = phase
-        phase, time_in_phase, qualify, filtered, pid, control = _supervise(
-            law, phase, time_in_phase, qualify, filtered, pid, polarity * error_raw,
-            force_lost, dt,
-        )
-        if prev_phase == "sweeping" and phase == "engaging":
-            # Engage: park the laser on the lock point before closing the loop.
-            base = lock_detuning - net_gain * control - k_temp * (temperature - temp_reference)
+            force_lost = (phase == "engaging" or phase == "locked") and (
+                abs(detuning - lock_detuning) > escape_span
+            )
+            prev_phase = phase
+            phase, time_in_phase, qualify, filtered, pid, control = _supervise(
+                law, phase, time_in_phase, qualify, filtered, pid, polarity * error_raw,
+                force_lost, dt,
+            )
+            if prev_phase == "sweeping" and phase == "engaging":
+                # Engage: park the laser on the lock point before closing the loop.
+                base = lock_detuning - net_gain * control - k_temp * (temperature - temp_reference)
 
-        # The plant update of step_plant.
-        elapsed += dt
-        target = temp_reference + drift_rate * elapsed + disturbance
-        temperature += thermal_gain * (target - temperature)
-        current = bias + k_ctrl * control
-        ramp_offset = ramp_waveform(elapsed, ramp_cfg) if phase == "sweeping" else 0.0
-        detuning = (
-            base
-            + k_current * (current - bias)
-            + k_temp * (temperature - temp_reference)
-            + ramp_offset
-            + plant_noise_hz
-        )
-        # Written so that a NaN detuning fails the envelope test too.
-        if not abs(detuning - base) <= half_span:
-            aborted = True
-            if math.isfinite(detuning):
-                abort_reason = str(ModeHopError(detuning, plant_cfg.mode_hop_span, elapsed))
-            else:
-                abort_reason = (
-                    f"non-finite state: detuning {detuning!r} Hz, control {control!r} V "
-                    f"at t={elapsed:.6f} s"
-                )
-            break
+            temperature, elapsed, _, detuning = _plant_update(
+                plant, temperature, elapsed, base, temp_reference, disturbance, control,
+                ramp_cfg if phase == "sweeping" else None, plant_noise_hz,
+            )
 
-        if detuning_step_time is not None and t < detuning_step_time <= t + dt:
-            base += detuning_step_hz
+            if detuning_step_time is not None and t < detuning_step_time <= t + dt:
+                base += detuning_step_hz
 
-        log_detuning[k] = detuning
-        log_error[k] = error_raw
-        log_control[k] = control
-        log_temperature[k] = temperature
-        log_phase.append(phase)
+            log_detuning[k] = detuning
+            log_error[k] = error_raw
+            log_control[k] = control
+            log_temperature[k] = temperature
+            log_phase.append(phase)
+    except ModeHopError as exc:
+        aborted = True
+        abort_reason = str(exc)
+        if not math.isfinite(exc.detuning_hz):
+            abort_reason = (
+                f"non-finite state: detuning {exc.detuning_hz!r} Hz, control {control!r} V "
+                f"at t={exc.elapsed_s:.6f} s"
+            )
 
     meta = {
         "format": LOCKLOG_FORMAT_VERSION,

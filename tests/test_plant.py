@@ -131,6 +131,12 @@ class TestPlantResponse:
         assert err.value.span_hz == 1.0e9
         assert abs(err.value.detuning_hz) > 0.5e9
 
+    def test_non_finite_detuning_is_a_fault(self):
+        # abs(nan) > span is False, so the envelope test must reject NaN itself.
+        with pytest.raises(ModeHopError) as err:
+            run_steps(QUIET, NO_RAMP, {"control_voltage": float("nan")}, 1, 1e-4)
+        assert math.isnan(err.value.detuning_hz)
+
 
 class TestFrequencyNoise:
     def test_zero_linewidth_is_silent(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from saslock.errors import SaslockError, UnlockableError
-from saslock.plant import PlantConfig, RampConfig, initial_state, step_plant
+from saslock.plant import PlantConfig, RampConfig
 from saslock.servo import (
     _PID_START,
     Disturbances,
@@ -305,6 +305,20 @@ class TestLockStep:
         lock, _, phases = self.drive(lock, PidState(), 1, force_lost=True)
         assert phases == ["lost"]
 
+    def test_dt_checked_only_where_the_pid_runs(self):
+        # Sweeping and lost hold the PID, so a zero step passes there as it
+        # always has; engaging and locked run pid_step's dt check.
+        cfg = PidConfig()
+        for phase in ("sweeping", "lost"):
+            lock, _, control, _ = lock_step(
+                LockState(phase=phase), PidState(), cfg, RESOLVED_LOCK, {"error": 0.0}, 0.0
+            )
+            assert lock.phase == phase and control == 0.0
+        for phase in ("engaging", "locked"):
+            with pytest.raises(ValueError, match="dt"):
+                lock_step(LockState(phase=phase), PidState(), cfg, RESOLVED_LOCK,
+                          {"error": 0.0}, 0.0)
+
     def test_unresolved_thresholds_rejected(self):
         with pytest.raises(SaslockError):
             lock_step(LockState(), PidState(), PidConfig(), LockConfig(), {"error": 0.0}, 1e-3)
@@ -438,30 +452,6 @@ class TestClosedLoop:
         # closed-loop step after it makes the detuning NaN and aborts.
         assert set(log.phase[:-1]) == {"sweeping"} and log.phase[-1] == "engaging"
         assert np.isfinite(log.detuning).all() and np.isfinite(log.control).all()
-
-    def test_plant_update_matches_step_plant(self, table, default_cfg):
-        # Locked from the start, the base detuning never moves, so replaying
-        # the logged control through step_plant with the same noise stream
-        # reproduces the kernel's plant bit for bit.
-        dt, seed = 1e-4, 5
-        disturbances = Disturbances(temp_step_k=0.05, temp_step_time_s=0.02)
-        log = closed_loop_run(
-            table, default_cfg.medium, PLANT, RAMP, PidConfig(), LockConfig(),
-            duration=0.05, dt=dt, seed=seed, start_locked=True, disturbances=disturbances,
-        )
-        cfg = replace(PLANT, base_detuning=log.meta["lock_point_hz"])
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-        state = initial_state(cfg)
-        for k in range(len(log)):
-            disturbance = 0.05 if k * dt >= 0.02 else 0.0
-            inputs = {
-                "disturbance": disturbance,
-                "control_voltage": log.control[k],
-                "ramp_enabled": log.phase[k] == "sweeping",
-            }
-            state = step_plant(state, cfg, RAMP, inputs, dt, rng)
-            assert state.detuning == log.detuning[k]
-            assert state.temperature == log.temperature[k]
 
     def test_mode_hop_aborts_with_partial_log(self, table, default_cfg):
         tiny = replace(PLANT, mode_hop_span=2.0e9)
