@@ -570,49 +570,50 @@ def closed_loop_run(
     aborted = False
     abort_reason = ""
 
-    try:
-        for k, plant_noise_hz, meas_noise_v in zip(range(n), plant_noise, meas_noise):
-            t = k * dt
-            if temp_step_time is not None and t >= temp_step_time:
-                disturbance = temp_step_k
+    for k, plant_noise_hz, meas_noise_v in zip(range(n), plant_noise, meas_noise):
+        t = k * dt
+        if temp_step_time is not None and t >= temp_step_time:
+            disturbance = temp_step_k
 
-            error_raw = _interp(detuning, map_x, map_y, map_slopes)
-            if add_meas_noise:
-                error_raw += meas_noise_v
+        error_raw = _interp(detuning, map_x, map_y, map_slopes)
+        if add_meas_noise:
+            error_raw += meas_noise_v
 
-            force_lost = (phase == "engaging" or phase == "locked") and (
-                abs(detuning - lock_detuning) > escape_span
-            )
-            prev_phase = phase
-            phase, time_in_phase, qualify, filtered, pid, control = _supervise(
-                law, phase, time_in_phase, qualify, filtered, pid, polarity * error_raw,
-                force_lost, dt,
-            )
-            if prev_phase == "sweeping" and phase == "engaging":
-                # Engage: park the laser on the lock point before closing the loop.
-                base = lock_detuning - net_gain * control - k_temp * (temperature - temp_reference)
+        force_lost = (phase == "engaging" or phase == "locked") and (
+            abs(detuning - lock_detuning) > escape_span
+        )
+        prev_phase = phase
+        phase, time_in_phase, qualify, filtered, pid, control = _supervise(
+            law, phase, time_in_phase, qualify, filtered, pid, polarity * error_raw,
+            force_lost, dt,
+        )
+        if prev_phase == "sweeping" and phase == "engaging":
+            # Engage: park the laser on the lock point before closing the loop.
+            base = lock_detuning - net_gain * control - k_temp * (temperature - temp_reference)
 
+        try:
             temperature, elapsed, _, detuning = _plant_update(
                 plant, temperature, elapsed, base, temp_reference, disturbance, control,
                 ramp_cfg if phase == "sweeping" else None, plant_noise_hz,
             )
+        except ModeHopError as exc:
+            aborted = True
+            abort_reason = str(exc)
+            if not math.isfinite(exc.detuning_hz):
+                abort_reason = (
+                    f"non-finite state: detuning {exc.detuning_hz!r} Hz, control {control!r} V "
+                    f"at t={exc.elapsed_s:.6f} s"
+                )
+            break
 
-            if detuning_step_time is not None and t < detuning_step_time <= t + dt:
-                base += detuning_step_hz
+        if detuning_step_time is not None and t < detuning_step_time <= t + dt:
+            base += detuning_step_hz
 
-            log_detuning[k] = detuning
-            log_error[k] = error_raw
-            log_control[k] = control
-            log_temperature[k] = temperature
-            log_phase.append(phase)
-    except ModeHopError as exc:
-        aborted = True
-        abort_reason = str(exc)
-        if not math.isfinite(exc.detuning_hz):
-            abort_reason = (
-                f"non-finite state: detuning {exc.detuning_hz!r} Hz, control {control!r} V "
-                f"at t={exc.elapsed_s:.6f} s"
-            )
+        log_detuning[k] = detuning
+        log_error[k] = error_raw
+        log_control[k] = control
+        log_temperature[k] = temperature
+        log_phase.append(phase)
 
     meta = {
         "format": LOCKLOG_FORMAT_VERSION,

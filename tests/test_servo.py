@@ -453,6 +453,14 @@ class TestClosedLoop:
         assert set(log.phase[:-1]) == {"sweeping"} and log.phase[-1] == "engaging"
         assert np.isfinite(log.detuning).all() and np.isfinite(log.control).all()
 
+    def test_rejects_non_positive_dt(self, table, default_cfg):
+        for dt in (0.0, -1e-4):
+            with pytest.raises(ValueError, match="dt"):
+                closed_loop_run(
+                    table, default_cfg.medium, PLANT, RAMP, PidConfig(), LockConfig(),
+                    duration=0.1, dt=dt,
+                )
+
     def test_mode_hop_aborts_with_partial_log(self, table, default_cfg):
         tiny = replace(PLANT, mode_hop_span=2.0e9)
         log = closed_loop_run(
