@@ -5,11 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies
 
 from saslock.cli import main as cli_main
 from saslock.errors import ConfigError, IngestError, SweepError
 from saslock.harness import (
     IngestConfig,
+    _parse_numeric_csv,
     default_config_path,
     ingest_scope_csv,
     load_default_config,
@@ -19,7 +21,7 @@ from saslock.harness import (
     run_sweep_experiment,
     run_temp_step_experiment,
 )
-from saslock.spectrum import NoiseConfig, extract_markers
+from saslock.spectrum import NoiseConfig, extract_markers, synthesize_sweep
 from saslock.svgplot import render_line_plot
 
 DEFAULT_TEXT = default_config_path().read_text(encoding="utf-8")
@@ -287,6 +289,89 @@ class TestIngest:
         icfg = replace(default_cfg.ingest, probe_column="nonexistent")
         with pytest.raises(IngestError, match="nonexistent"):
             ingest_scope_csv(out / "sweep_trace.csv", table, icfg)
+
+
+def numeric_rows(count, start=0):
+    return "".join(f"{k * 0.5!r},{k + 1.0!r},{-k!r}\n" for k in range(start, start + count))
+
+
+class TestScopeCsvParsing:
+    def test_non_numeric_row_names_its_line(self):
+        text = "time_s,reference_v,probe_v\n" + numeric_rows(20) + "0.5,oops,1\n" + numeric_rows(3)
+        with pytest.raises(IngestError, match=r"src\.csv: line 22\b"):
+            _parse_numeric_csv(text, "src.csv")
+
+    def test_ragged_rows_rejected(self):
+        text = numeric_rows(10) + "1.0,2.0\n" + numeric_rows(10)
+        with pytest.raises(IngestError, match="ragged"):
+            _parse_numeric_csv(text, "src.csv")
+
+    def test_too_few_rows_rejected(self):
+        with pytest.raises(IngestError, match=r"too few data rows \(15\)"):
+            _parse_numeric_csv("t,r,p\n" + numeric_rows(15), "src.csv")
+
+    def test_header_comments_and_blank_lines(self):
+        text = (
+            "# scope export\n\n time_s , reference_v,probe_v\n# units: s,V,V\n"
+            + numeric_rows(10) + "\n   \n# mid-file note\n" + numeric_rows(10, start=10)
+        )
+        header, data = _parse_numeric_csv(text, "src.csv")
+        assert header == ["time_s", "reference_v", "probe_v"]
+        assert data.shape == (20, 3)
+        k = np.arange(20.0)
+        assert np.array_equal(data, np.column_stack([0.5 * k, k + 1.0, -k]))
+
+    def test_headerless_rows(self):
+        header, data = _parse_numeric_csv(numeric_rows(16), "src.csv")
+        assert header is None
+        assert data.shape == (16, 3)
+
+
+INGEST_ROWS = 8192
+
+
+def write_scope_export(path, trace, time_s, rows_reversed):
+    """A `time_s,reference_v,probe_v` scope export of `trace` on the axis `time_s`."""
+    columns = [time_s, trace.reference, trace.probe]
+    if rows_reversed:
+        columns = [c[::-1] for c in columns]
+    path.write_text(
+        "time_s,reference_v,probe_v\n"
+        + "".join(f"{t!r},{r!r},{p!r}\n" for t, r, p in zip(*(c.tolist() for c in columns))),
+        encoding="utf-8",
+    )
+
+
+@pytest.mark.parametrize("orientation", ["rising"])
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    noise_seed=strategies.integers(0, 2**32 - 1),
+    span_s=strategies.floats(1e-3, 1e-1),
+    offset_s=strategies.floats(-0.05, 0.05),
+    rows_reversed=strategies.booleans(),
+)
+def test_ingest_recovers_affine_axis(default_cfg, table, tmp_path, orientation,
+                                     noise_seed, span_s, offset_s, rows_reversed):
+    # Export a noisy sweep on a random affine time axis; detuning rises or
+    # falls with time, and the rows run in either time order.
+    start, stop, _ = default_cfg.sweep
+    noise = replace(default_cfg.noise, enabled=True, seed=noise_seed)
+    trace = synthesize_sweep(table, default_cfg.medium, (start, stop, INGEST_ROWS), noise)
+    window, selection = manifold_window(table, default_cfg), default_cfg.markers.selection()
+    truth = extract_markers(trace, window, selection, table, default_cfg.medium)
+    sign = 1.0 if orientation == "rising" else -1.0
+    time_s = offset_s + sign * span_s * np.arange(INGEST_ROWS) / (INGEST_ROWS - 1)
+    path = tmp_path / "scope.csv"
+    write_scope_export(path, trace, time_s, rows_reversed)
+
+    icfg = replace(default_cfg.ingest, time_column="time_s")
+    got = ingest_scope_csv(path, table, icfg)
+    slope = got.meta["calibration"]["slope_hz_per_unit"]
+    assert slope == pytest.approx(sign * (stop - start) / span_s, rel=1e-3)
+    markers = extract_markers(got, window, selection, table, default_cfg.medium)
+    for key in "ABCD":
+        assert getattr(markers, key) == pytest.approx(getattr(truth, key), rel=0.01)
 
 
 class TestPlots:

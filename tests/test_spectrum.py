@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from saslock.atomic_data import Isotope, LineTable, TransitionLine, find_feature
 from saslock.errors import (
@@ -22,6 +23,7 @@ from saslock.spectrum import (
     error_signal,
     extract_markers,
     fit_lineshape,
+    moving_median,
     read_trace_csv,
     subdoppler_extrema,
     synthesize_sweep,
@@ -187,6 +189,39 @@ class TestMarkers:
         lines = transitions(table, "Rb85", 3)
         window = (lines[0].detuning - 40e6, lines[-1].detuning + 40e6)
         assert len(subdoppler_extrema(clean_trace, window)) == 6
+
+
+def reference_moving_median(y, window):
+    """The per-sample median loop `moving_median` replaced, kept as its oracle."""
+    y = np.asarray(y, dtype=float)
+    if window <= 1:
+        return y.copy()
+    pad = window // 2
+    padded = np.pad(y, pad, mode="edge")
+    return np.asarray([np.median(padded[i : i + window]) for i in range(len(y))])
+
+
+@strategies.composite
+def median_cases(draw):
+    values = strategies.one_of(
+        strategies.floats(allow_nan=False, width=64),
+        # few distinct levels, so windows are full of ties
+        strategies.integers(-3, 3).map(lambda k: 0.25 * k),
+    )
+    y = draw(strategies.lists(values, min_size=1, max_size=120))
+    # odd windows from 1 up to beyond the length of the data
+    half = draw(strategies.integers(0, len(y) + 2))
+    return np.asarray(y, dtype=float), 2 * half + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(median_cases())
+def test_moving_median_matches_per_sample_median(case):
+    y, window = case
+    got = moving_median(y, window)
+    want = reference_moving_median(y, window)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
 
 
 class TestDepthMetrics:
