@@ -15,11 +15,15 @@ import hashlib
 import io
 import json
 import math
+import re
+import warnings
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from itertools import product
 from pathlib import Path
 
 import numpy as np
+from scipy.signal import find_peaks
 
 from .atomic_data import (
     LineTable,
@@ -855,28 +859,69 @@ def emit_plot(data, path, table: LineTable = None):
 # ---------------------------------------------------------------------------
 
 
+# np.loadtxt reads a line of blanks, or of blanks before '#', as a row of one
+# empty field; the parser drops those blanks (line 1 is never handed to it).
+_BLANK_LINE = re.compile(r"\n[^\S\n]+(?=[#\n]|\Z)")
+
+
 def _parse_numeric_csv(text, source):
-    """Rows of floats from a generic CSV; returns (header or None, array)."""
-    header = None
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
+    """Rows of finite floats from a generic CSV; returns (header or None, array).
+
+    Blank lines and '#' comments, whole-line or trailing, are skipped. The
+    first remaining line is the header when it is not all numbers, and
+    np.loadtxt parses the lines after the header or the leading comments.
+    """
+    for lineno, body in _content_lines(text):
+        parts = [p.strip() for p in body.split(",")]
         try:
-            rows.append([float(p) for p in parts])
+            [float(p) for p in parts]
+            header, skip = None, lineno - 1
         except ValueError:
-            if header is None and not rows:
-                header = parts
-                continue
-            raise IngestError(f"{source}: line {lineno}: non-numeric row {line!r}") from None
-    if len(rows) < 16:
-        raise IngestError(f"{source}: too few data rows ({len(rows)})")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise IngestError(f"{source}: ragged rows (widths {sorted(widths)})")
-    return header, np.asarray(rows)
+            header, skip = parts, lineno
+        break
+    else:
+        raise IngestError(f"{source}: too few data rows (0)")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            data = np.loadtxt(io.StringIO(_BLANK_LINE.sub("\n", text)), delimiter=",",
+                              comments="#", skiprows=skip, ndmin=2)
+    except ValueError as exc:
+        raise _bad_row(text, skip, source) or IngestError(f"{source}: {exc}") from None
+    if len(data) < 16:
+        raise IngestError(f"{source}: too few data rows ({len(data)})")
+    if not np.isfinite(data).all():
+        raise _bad_row(text, skip, source) or IngestError(f"{source}: non-finite values")
+    return header, data
+
+
+def _content_lines(text):
+    """(1-based line number, text before any '#', stripped) of each non-blank line."""
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            yield lineno, body
+
+
+def _bad_row(text, skip, source):
+    """IngestError naming the first line after line `skip` that is not a row
+    of finite floats as wide as the first row, or None if every line is."""
+    width = None
+    for lineno, body in _content_lines(text):
+        if lineno <= skip:
+            continue
+        try:
+            values = [float(p) for p in body.split(",")]
+        except ValueError:
+            return IngestError(f"{source}: line {lineno}: non-numeric row {body!r}")
+        width = width or len(values)
+        if len(values) != width:
+            return IngestError(
+                f"{source}: line {lineno}: ragged rows ({len(values)} values, first row {width})"
+            )
+        if not all(map(math.isfinite, values)):
+            return IngestError(f"{source}: line {lineno}: non-finite value in row {body!r}")
+    return None
 
 
 def _column(header, data, key, source):
@@ -978,16 +1023,10 @@ def _valley_regions(time, probe):
         raise IngestError("no absorption valleys in the trace")
     valley = depth > 0.2 * max_depth
 
-    regions = []
-    start = None
-    for i, v in enumerate(valley):
-        if v and start is None:
-            start = i
-        elif not v and start is not None:
-            regions.append([start, i])
-            start = None
-    if start is not None:
-        regions.append([start, n])
+    edges = np.diff(valley.astype(np.int8), prepend=0, append=0)
+    regions = np.column_stack(
+        [np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)]
+    ).tolist()
     min_gap = max(3, n // 256)
     merged = []
     for region in regions:
@@ -1007,8 +1046,6 @@ def _calibration_feature_times(time, probe, differential, table, nu_a, nu_b):
     close all detected peaks land to table features under that pair's
     two-point axis, and the best-scoring pair wins.
     """
-    from scipy.signal import find_peaks
-
     n = len(time)
     regions = _valley_regions(time, probe)
     if len(regions) < 2:
@@ -1024,8 +1061,8 @@ def _calibration_feature_times(time, probe, differential, table, nu_a, nu_b):
         order = np.argsort(props["peak_heights"])[::-1][:count]
         return [lo + int(peaks[i]) for i in order]
 
-    cands_a = top_peaks(*regions[0], count=4)
-    cands_b = top_peaks(*regions[-1], count=4)
+    first = top_peaks(*regions[0], count=4)
+    last = top_peaks(*regions[-1], count=4)
     all_peaks = sorted({k for lo, hi in regions for k in top_peaks(lo, hi, count=6)})
     peak_times = time[np.asarray(all_peaks, dtype=int)]
 
@@ -1036,16 +1073,15 @@ def _calibration_feature_times(time, probe, differential, table, nu_a, nu_b):
     }))
 
     best = None
-    for ia in cands_a:
-        for ib in cands_b:
-            if time[ib] == time[ia]:
-                continue
-            slope = (nu_b - nu_a) / (time[ib] - time[ia])
-            mapped = nu_a + (peak_times - time[ia]) * slope
-            misses = np.abs(mapped[:, None] - features[None, :]).min(axis=1)
-            score = float(misses.sum())
-            if best is None or score < best[0]:
-                best = (score, ia, ib)
+    for ia, ib in product(first, last):
+        if time[ib] == time[ia]:
+            continue
+        slope = (nu_b - nu_a) / (time[ib] - time[ia])
+        mapped = nu_a + (peak_times - time[ia]) * slope
+        misses = np.abs(mapped[:, None] - features[None, :]).min(axis=1)
+        score = float(misses.sum())
+        if best is None or score < best[0]:
+            best = (score, ia, ib)
     if best is None:
         raise IngestError("calibration candidates collapse to one point")
     _, ia, ib = best

@@ -38,6 +38,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.ndimage import median_filter
 from scipy.optimize import OptimizeWarning, curve_fit
 from scipy.signal import find_peaks
 
@@ -300,15 +301,20 @@ def _odd_window(span_hz, step_hz, minimum=3):
 
 
 def moving_median(y, window):
-    """Edge-padded moving median; suppresses features narrower than window/2."""
+    """Edge-padded moving median; suppresses features narrower than window/2.
+
+    The window must be odd, so each output is one input element: the same
+    value, bit for bit, as np.median over the edge-padded window, for finite
+    or infinite input (NaN is ordered differently). Adding 0.0 turns -0.0
+    into 0.0, as np.median's one-element mean does.
+    """
     y = np.asarray(y, dtype=float)
     if window <= 1:
         return y.copy()
-    pad = window // 2
-    padded = np.pad(y, pad, mode="edge")
-    out = np.empty_like(y)
-    for i in range(len(y)):
-        out[i] = np.median(padded[i : i + window])
+    if window % 2 == 0:
+        raise ValueError(f"moving_median needs an odd window, got {window}")
+    out = median_filter(y, size=window, mode="nearest")
+    out += 0.0
     return out
 
 

@@ -321,6 +321,29 @@ class TestScopeCsvParsing:
         k = np.arange(20.0)
         assert np.array_equal(data, np.column_stack([0.5 * k, k + 1.0, -k]))
 
+    def test_trailing_comment_on_data_row(self):
+        text = "t,r,p\n" + numeric_rows(8) + "4.0,9.0,-8.0  # trigger\n" + numeric_rows(8, start=9)
+        _, data = _parse_numeric_csv(text, "src.csv")
+        assert data.shape == (17, 3)
+        assert list(data[8]) == [4.0, 9.0, -8.0]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_names_its_line(self, value):
+        text = "t,r,p\n# note\n" + numeric_rows(20) + f"1.0,{value},2.0\n" + numeric_rows(3)
+        with pytest.raises(IngestError, match=r"src\.csv: line 23: non-finite"):
+            _parse_numeric_csv(text, "src.csv")
+
+    def test_ragged_row_names_its_line(self):
+        text = "t,r,p\n" + numeric_rows(20) + "1.0,2.0,3.0,4.0\n"
+        with pytest.raises(IngestError, match=r"line 22: ragged"):
+            _parse_numeric_csv(text, "src.csv")
+
+    def test_comments_only_rejected(self):
+        with pytest.raises(IngestError, match=r"too few data rows \(0\)"):
+            _parse_numeric_csv("# nothing\n\n  # here\n", "src.csv")
+        with pytest.raises(IngestError, match=r"too few data rows \(0\)"):
+            _parse_numeric_csv("t,r,p\n# nothing\n", "src.csv")
+
     def test_headerless_rows(self):
         header, data = _parse_numeric_csv(numeric_rows(16), "src.csv")
         assert header is None
