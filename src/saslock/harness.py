@@ -1072,8 +1072,10 @@ def _calibration_feature_times(time, probe, differential, table, nu_a, nu_b):
         for ln in manifold_features(table, iso, fg)
     }))
 
+    # Detuning may rise or fall with time, so feature_a may lie in either end
+    # valley: pairs are scored in both orders.
     best = None
-    for ia, ib in product(first, last):
+    for ia, ib in [*product(first, last), *product(last, first)]:
         if time[ib] == time[ia]:
             continue
         slope = (nu_b - nu_a) / (time[ib] - time[ia])

@@ -365,7 +365,7 @@ def write_scope_export(path, trace, time_s, rows_reversed):
     )
 
 
-@pytest.mark.parametrize("orientation", ["rising"])
+@pytest.mark.parametrize("orientation", ["rising", "falling"])
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
