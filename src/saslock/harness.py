@@ -144,79 +144,86 @@ def _bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 _SCHEMA = {
     "lines": {"path": ("lines_path", str)},
     "medium": {
-        "temperature_k": ("temperature", float),
-        "peak_optical_depth": ("peak_optical_depth", float),
-        "saturation_s": ("saturation_s", float),
-        "crossover_enhancement": ("crossover_enhancement", float),
-        "dip_contrast": ("dip_contrast", float),
+        "temperature_k": ("temperature", _finite_float),
+        "peak_optical_depth": ("peak_optical_depth", _finite_float),
+        "saturation_s": ("saturation_s", _finite_float),
+        "crossover_enhancement": ("crossover_enhancement", _finite_float),
+        "dip_contrast": ("dip_contrast", _finite_float),
     },
     "sweep": {
-        "start_hz": ("start", float),
-        "stop_hz": ("stop", float),
+        "start_hz": ("start", _finite_float),
+        "stop_hz": ("stop", _finite_float),
         "samples": ("samples", int),
     },
     "noise": {
         "enabled": ("enabled", _bool),
         "seed": ("seed", int),
-        "detector_sigma_v": ("sigma_v", float),
+        "detector_sigma_v": ("sigma_v", _finite_float),
     },
     "markers": {
         "manifold": ("manifold", str),
-        "window_margin_hz": ("window_margin_hz", float),
+        "window_margin_hz": ("window_margin_hz", _finite_float),
         "hyperfine_feature": ("hyperfine_feature", str),
         "crossover_feature": ("crossover_feature", str),
     },
     "plant": {
-        "k_current_hz_per_a": ("k_current", float),
-        "k_temp_hz_per_k": ("k_temp", float),
-        "k_ctrl_a_per_v": ("k_ctrl", float),
-        "linewidth_hz": ("linewidth", float),
-        "mode_hop_span_hz": ("mode_hop_span", float),
-        "drift_rate_k_per_s": ("drift_rate", float),
-        "base_detuning_hz": ("base_detuning", float),
-        "bias_current_a": ("bias_current", float),
-        "temp_reference_k": ("temp_reference", float),
-        "tau_thermal_s": ("tau_thermal", float),
+        "k_current_hz_per_a": ("k_current", _finite_float),
+        "k_temp_hz_per_k": ("k_temp", _finite_float),
+        "k_ctrl_a_per_v": ("k_ctrl", _finite_float),
+        "linewidth_hz": ("linewidth", _finite_float),
+        "mode_hop_span_hz": ("mode_hop_span", _finite_float),
+        "drift_rate_k_per_s": ("drift_rate", _finite_float),
+        "base_detuning_hz": ("base_detuning", _finite_float),
+        "bias_current_a": ("bias_current", _finite_float),
+        "temp_reference_k": ("temp_reference", _finite_float),
+        "tau_thermal_s": ("tau_thermal", _finite_float),
     },
     "ramp": {
-        "frequency_hz": ("frequency", float),
-        "span_hz": ("span", float),
+        "frequency_hz": ("frequency", _finite_float),
+        "span_hz": ("span", _finite_float),
         "shape": ("shape", str),
         "enabled": ("enabled", _bool),
     },
     "pid": {
-        "kp": ("kp", float),
-        "ki": ("ki", float),
-        "kd": ("kd", float),
-        "offset_v": ("offset", float),
-        "output_min_v": ("output_min", float),
-        "output_max_v": ("output_max", float),
+        "kp": ("kp", _finite_float),
+        "ki": ("ki", _finite_float),
+        "kd": ("kd", _finite_float),
+        "offset_v": ("offset", _finite_float),
+        "output_min_v": ("output_min", _finite_float),
+        "output_max_v": ("output_max", _finite_float),
         "derivative_smoothing": ("derivative_smoothing", int),
     },
     "lock": {
         "target_feature": ("target_feature", str),
         "mode": ("mode", str),
         "polarity": ("polarity", str),
-        "lock_threshold_frac": ("lock_threshold_frac", float),
-        "loss_threshold_frac": ("loss_threshold_frac", float),
-        "hold_time_s": ("hold_time", float),
-        "loss_time_s": ("loss_time", float),
-        "relock_delay_s": ("relock_delay", float),
-        "sweep_time_s": ("sweep_time", float),
-        "filter_time_s": ("filter_time", float),
+        "lock_threshold_frac": ("lock_threshold_frac", _finite_float),
+        "loss_threshold_frac": ("loss_threshold_frac", _finite_float),
+        "hold_time_s": ("hold_time", _finite_float),
+        "loss_time_s": ("loss_time", _finite_float),
+        "relock_delay_s": ("relock_delay", _finite_float),
+        "sweep_time_s": ("sweep_time", _finite_float),
+        "filter_time_s": ("filter_time", _finite_float),
     },
     "run": {
-        "dt_s": ("dt_s", float),
-        "lock_duration_s": ("lock_duration_s", float),
-        "temp_step_k": ("temp_step_k", float),
-        "temp_step_time_s": ("temp_step_time_s", float),
-        "temp_step_duration_s": ("temp_step_duration_s", float),
-        "fluor_duration_s": ("fluor_duration_s", float),
-        "fluor_low_detuning_fwhm": ("fluor_low_detuning_fwhm", float),
-        "fluor_large_detuning_fwhm": ("fluor_large_detuning_fwhm", float),
+        "dt_s": ("dt_s", _finite_float),
+        "lock_duration_s": ("lock_duration_s", _finite_float),
+        "temp_step_k": ("temp_step_k", _finite_float),
+        "temp_step_time_s": ("temp_step_time_s", _finite_float),
+        "temp_step_duration_s": ("temp_step_duration_s", _finite_float),
+        "fluor_duration_s": ("fluor_duration_s", _finite_float),
+        "fluor_low_detuning_fwhm": ("fluor_low_detuning_fwhm", _finite_float),
+        "fluor_large_detuning_fwhm": ("fluor_large_detuning_fwhm", _finite_float),
     },
     "ingest": {
         "time_column": ("time_column", str),
@@ -225,7 +232,7 @@ _SCHEMA = {
         "differential_column": ("differential_column", str),
         "feature_a": ("feature_a", str),
         "feature_b": ("feature_b", str),
-        "known_separation_hz": ("known_separation_hz", float),
+        "known_separation_hz": ("known_separation_hz", _finite_float),
     },
 }
 
@@ -717,10 +724,13 @@ def run_fluorescence_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=N
 
     log = _run_closed_loop(cfg, seed, cfg.run.fluor_duration_s)
     locked_mask = np.asarray([p == "locked" for p in log.phase])
-    if not locked_mask.any():
-        criteria = [Criterion("lock_achieved", False, 0.0, "locked during run")]
+    locked = bool(locked_mask.any())
+    criteria, measured = [], {}
+    if not locked:
+        criteria.append(Criterion("lock_achieved", False, 0.0, "locked during run"))
+    if not (_check_completed(log, criteria, measured) and locked):
         report = ExperimentReport(
-            "fluorescence", False, criteria, {}, [], cfg.fingerprint(), seed
+            "fluorescence", False, criteria, measured, [], cfg.fingerprint(), seed
         )
         return _finalize(report, out_dir, fmt)
 

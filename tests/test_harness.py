@@ -17,6 +17,7 @@ from saslock.harness import (
     load_default_config,
     manifold_window,
     parse_config,
+    run_fluorescence_experiment,
     run_lock_experiment,
     run_sweep_experiment,
     run_temp_step_experiment,
@@ -73,6 +74,24 @@ class TestConfigParsing:
                                  "crossover_feature=Rb87:F2->co(8,9)"})
         with pytest.raises(Exception):
             parse_config(text)
+
+    @pytest.mark.parametrize("patch", [
+        ("saturation_s=2.0", "saturation_s=nan"),
+        ("temperature_k=312.65", "temperature_k=inf"),
+        ("kp=0.006", "kp=nan"),
+        ("dt_s=1.0e-4", "dt_s=inf"),
+        ("linewidth_hz=5.0e5", "linewidth_hz=nan"),
+    ])
+    def test_non_finite_value_rejected(self, patch):
+        old, new = patch
+        key, value = new.split("=")
+        with pytest.raises(ConfigError, match=rf"line \d+: bad value for '{key}': not a finite number: '{value}'"):
+            parse_config(patched_config(**{old: new}))
+
+    def test_non_finite_value_exits_two(self, tmp_path):
+        path = tmp_path / "nan.cfg"
+        path.write_text(patched_config(**{"kp=0.006": "kp=-inf"}))
+        assert cli_main(["--config", str(path), "--out", str(tmp_path), "sweep"]) == 2
 
     def test_bad_value_reports_line(self):
         text = patched_config(**{"saturation_s=2.0": "saturation_s=plenty"})
@@ -219,6 +238,17 @@ class TestFluorescenceExperiment:
         assert m["brightness_locked"] >= 0.99
         assert m["brightness_low_detuning"] == pytest.approx(0.5, abs=0.005)
         assert m["brightness_large_detuning"] < 1e-10
+
+    def test_mode_hop_abort_fails_report(self, default_cfg, tmp_path):
+        # The ramp leaves a 2 GHz envelope on the first step: the run never locks.
+        cfg = replace(default_cfg, plant=replace(default_cfg.plant, mode_hop_span=2.0e9))
+        report = run_fluorescence_experiment(cfg, tmp_path)
+        assert not report.passed
+        assert "mode hop" in report.measured["abort_reason"]
+        by_name = {c.name: c for c in report.criteria}
+        assert not by_name["run_completed"].passed
+        assert not by_name["lock_achieved"].passed
+        assert json.loads((tmp_path / "fluorescence_report.json").read_text())["passed"] is False
 
     def test_monotone_decrease(self, fluorescence_run):
         report, _ = fluorescence_run
