@@ -15,11 +15,10 @@ import hashlib
 import io
 import json
 import math
-import re
 import warnings
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -869,68 +868,59 @@ def emit_plot(data, path, table: LineTable = None):
 # ---------------------------------------------------------------------------
 
 
-# np.loadtxt reads a line of blanks, or of blanks before '#', as a row of one
-# empty field; the parser drops those blanks (line 1 is never handed to it).
-_BLANK_LINE = re.compile(r"\n[^\S\n]+(?=[#\n]|\Z)")
-
-
-def _parse_numeric_csv(text, source):
-    """Rows of finite floats from a generic CSV; returns (header or None, array).
+def _parse_numeric_csv(path):
+    """Rows of finite floats from a generic CSV file; returns (header or None, array).
 
     Blank lines and '#' comments, whole-line or trailing, are skipped. The
     first remaining line is the header when it is not all numbers, and
-    np.loadtxt parses the lines after the header or the leading comments.
+    np.loadtxt parses the rows after it straight from the file.
     """
-    for lineno, body in _content_lines(text):
-        parts = [p.strip() for p in body.split(",")]
+    with open(path, encoding="utf-8") as f:
+        # np.loadtxt would read a line of blanks, or blanks before '#', as a row
+        content = (line for line in f if line.lstrip()[:1] not in ("", "#"))
+        first = next(content, "")
+        parts = [p.strip() for p in _body(first).split(",")]
         try:
             [float(p) for p in parts]
-            header, skip = None, lineno - 1
+            header, rows = None, chain([first], content)
         except ValueError:
-            header, skip = parts, lineno
-        break
-    else:
-        raise IngestError(f"{source}: too few data rows (0)")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            data = np.loadtxt(io.StringIO(_BLANK_LINE.sub("\n", text)), delimiter=",",
-                              comments="#", skiprows=skip, ndmin=2)
-    except ValueError as exc:
-        raise _bad_row(text, skip, source) or IngestError(f"{source}: {exc}") from None
+            header, rows = parts, content
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                data = np.loadtxt(rows, delimiter=",", comments="#", ndmin=2)
+        except ValueError as exc:
+            raise _bad_row(path, header) or IngestError(f"{path}: {exc}") from None
     if len(data) < 16:
-        raise IngestError(f"{source}: too few data rows ({len(data)})")
+        raise IngestError(f"{path}: too few data rows ({len(data)})")
     if not np.isfinite(data).all():
-        raise _bad_row(text, skip, source) or IngestError(f"{source}: non-finite values")
+        raise _bad_row(path, header) or IngestError(f"{path}: non-finite values")
     return header, data
 
 
-def _content_lines(text):
-    """(1-based line number, text before any '#', stripped) of each non-blank line."""
-    for lineno, line in enumerate(io.StringIO(text), start=1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            yield lineno, body
+def _body(line):
+    """A CSV line without its '#' comment and surrounding blanks."""
+    return line.split("#", 1)[0].strip()
 
 
-def _bad_row(text, skip, source):
-    """IngestError naming the first line after line `skip` that is not a row
-    of finite floats as wide as the first row, or None if every line is."""
+def _bad_row(path, header):
+    """IngestError naming the first data line of `path` that is not a row of
+    finite floats as wide as the first row, or None if every line is."""
+    with open(path, encoding="utf-8") as f:
+        lines = [(n, body) for n, body in enumerate(map(_body, f), start=1) if body]
     width = None
-    for lineno, body in _content_lines(text):
-        if lineno <= skip:
-            continue
+    for lineno, body in lines[header is not None:]:
         try:
             values = [float(p) for p in body.split(",")]
         except ValueError:
-            return IngestError(f"{source}: line {lineno}: non-numeric row {body!r}")
+            return IngestError(f"{path}: line {lineno}: non-numeric row {body!r}")
         width = width or len(values)
         if len(values) != width:
             return IngestError(
-                f"{source}: line {lineno}: ragged rows ({len(values)} values, first row {width})"
+                f"{path}: line {lineno}: ragged rows ({len(values)} values, first row {width})"
             )
         if not all(map(math.isfinite, values)):
-            return IngestError(f"{source}: line {lineno}: non-finite value in row {body!r}")
+            return IngestError(f"{path}: line {lineno}: non-finite value in row {body!r}")
     return None
 
 
@@ -959,7 +949,7 @@ def ingest_scope_csv(path, table: LineTable, ingest_cfg: IngestConfig,
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"scope CSV not found: {path}")
-    header, data = _parse_numeric_csv(path.read_text(encoding="utf-8"), str(path))
+    header, data = _parse_numeric_csv(path)
 
     time = _column(header, data, ingest_cfg.time_column, str(path))
     reference = _column(header, data, ingest_cfg.reference_column, str(path))

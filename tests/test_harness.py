@@ -325,57 +325,63 @@ def numeric_rows(count, start=0):
     return "".join(f"{k * 0.5!r},{k + 1.0!r},{-k!r}\n" for k in range(start, start + count))
 
 
+def parse(tmp_path, text):
+    path = tmp_path / "src.csv"
+    path.write_text(text, encoding="utf-8")
+    return _parse_numeric_csv(path)
+
+
 class TestScopeCsvParsing:
-    def test_non_numeric_row_names_its_line(self):
+    def test_non_numeric_row_names_its_line(self, tmp_path):
         text = "time_s,reference_v,probe_v\n" + numeric_rows(20) + "0.5,oops,1\n" + numeric_rows(3)
         with pytest.raises(IngestError, match=r"src\.csv: line 22\b"):
-            _parse_numeric_csv(text, "src.csv")
+            parse(tmp_path, text)
 
-    def test_ragged_rows_rejected(self):
+    def test_ragged_rows_rejected(self, tmp_path):
         text = numeric_rows(10) + "1.0,2.0\n" + numeric_rows(10)
         with pytest.raises(IngestError, match="ragged"):
-            _parse_numeric_csv(text, "src.csv")
+            parse(tmp_path, text)
 
-    def test_too_few_rows_rejected(self):
+    def test_too_few_rows_rejected(self, tmp_path):
         with pytest.raises(IngestError, match=r"too few data rows \(15\)"):
-            _parse_numeric_csv("t,r,p\n" + numeric_rows(15), "src.csv")
+            parse(tmp_path, "t,r,p\n" + numeric_rows(15))
 
-    def test_header_comments_and_blank_lines(self):
+    def test_header_comments_and_blank_lines(self, tmp_path):
         text = (
             "# scope export\n\n time_s , reference_v,probe_v\n# units: s,V,V\n"
             + numeric_rows(10) + "\n   \n# mid-file note\n" + numeric_rows(10, start=10)
         )
-        header, data = _parse_numeric_csv(text, "src.csv")
+        header, data = parse(tmp_path, text)
         assert header == ["time_s", "reference_v", "probe_v"]
         assert data.shape == (20, 3)
         k = np.arange(20.0)
         assert np.array_equal(data, np.column_stack([0.5 * k, k + 1.0, -k]))
 
-    def test_trailing_comment_on_data_row(self):
+    def test_trailing_comment_on_data_row(self, tmp_path):
         text = "t,r,p\n" + numeric_rows(8) + "4.0,9.0,-8.0  # trigger\n" + numeric_rows(8, start=9)
-        _, data = _parse_numeric_csv(text, "src.csv")
+        _, data = parse(tmp_path, text)
         assert data.shape == (17, 3)
         assert list(data[8]) == [4.0, 9.0, -8.0]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
-    def test_non_finite_value_names_its_line(self, value):
+    def test_non_finite_value_names_its_line(self, tmp_path, value):
         text = "t,r,p\n# note\n" + numeric_rows(20) + f"1.0,{value},2.0\n" + numeric_rows(3)
         with pytest.raises(IngestError, match=r"src\.csv: line 23: non-finite"):
-            _parse_numeric_csv(text, "src.csv")
+            parse(tmp_path, text)
 
-    def test_ragged_row_names_its_line(self):
+    def test_ragged_row_names_its_line(self, tmp_path):
         text = "t,r,p\n" + numeric_rows(20) + "1.0,2.0,3.0,4.0\n"
         with pytest.raises(IngestError, match=r"line 22: ragged"):
-            _parse_numeric_csv(text, "src.csv")
+            parse(tmp_path, text)
 
-    def test_comments_only_rejected(self):
+    def test_comments_only_rejected(self, tmp_path):
         with pytest.raises(IngestError, match=r"too few data rows \(0\)"):
-            _parse_numeric_csv("# nothing\n\n  # here\n", "src.csv")
+            parse(tmp_path, "# nothing\n\n  # here\n")
         with pytest.raises(IngestError, match=r"too few data rows \(0\)"):
-            _parse_numeric_csv("t,r,p\n# nothing\n", "src.csv")
+            parse(tmp_path, "t,r,p\n# nothing\n")
 
-    def test_headerless_rows(self):
-        header, data = _parse_numeric_csv(numeric_rows(16), "src.csv")
+    def test_headerless_rows(self, tmp_path):
+        header, data = parse(tmp_path, numeric_rows(16))
         assert header is None
         assert data.shape == (16, 3)
 
