@@ -88,11 +88,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"line \d+: bad value for '{key}': not a finite number: '{value}'"):
             parse_config(patched_config(**{old: new}))
 
-    def test_non_finite_value_exits_two(self, tmp_path):
-        path = tmp_path / "nan.cfg"
-        path.write_text(patched_config(**{"kp=0.006": "kp=-inf"}))
-        assert cli_main(["--config", str(path), "--out", str(tmp_path), "sweep"]) == 2
-
     def test_bad_value_reports_line(self):
         text = patched_config(**{"saturation_s=2.0": "saturation_s=plenty"})
         with pytest.raises(ConfigError, match="saturation_s"):
@@ -339,7 +334,7 @@ class TestScopeCsvParsing:
 
     def test_ragged_rows_rejected(self, tmp_path):
         text = numeric_rows(10) + "1.0,2.0\n" + numeric_rows(10)
-        with pytest.raises(IngestError, match="ragged"):
+        with pytest.raises(IngestError, match=r"line 11: ragged"):
             parse(tmp_path, text)
 
     def test_too_few_rows_rejected(self, tmp_path):
@@ -367,11 +362,6 @@ class TestScopeCsvParsing:
     def test_non_finite_value_names_its_line(self, tmp_path, value):
         text = "t,r,p\n# note\n" + numeric_rows(20) + f"1.0,{value},2.0\n" + numeric_rows(3)
         with pytest.raises(IngestError, match=r"src\.csv: line 23: non-finite"):
-            parse(tmp_path, text)
-
-    def test_ragged_row_names_its_line(self, tmp_path):
-        text = "t,r,p\n" + numeric_rows(20) + "1.0,2.0,3.0,4.0\n"
-        with pytest.raises(IngestError, match=r"line 22: ragged"):
             parse(tmp_path, text)
 
     def test_comments_only_rejected(self, tmp_path):

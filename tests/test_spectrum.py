@@ -224,6 +224,11 @@ def test_moving_median_matches_per_sample_median(case):
     assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
 
 
+def test_moving_median_rejects_even_window():
+    with pytest.raises(ValueError, match="odd"):
+        moving_median(np.arange(9.0), 4)
+
+
 class TestDepthMetrics:
     def test_documented_example(self):
         m = DepthMarkers(A=1.0, B=0.6, C=0.55, D=0.75)
