@@ -1051,19 +1051,15 @@ def _calibration_feature_times(time, probe, differential, table, nu_a, nu_b):
     if len(regions) < 2:
         raise IngestError(f"need two Doppler valleys for calibration, found {len(regions)}")
 
-    sub = np.abs(moving_average(differential, _odd(max(3, n // 512))))
-
-    def top_peaks(lo, hi, count):
-        seg = sub[lo:hi]
-        peaks, props = find_peaks(seg, height=0.05 * float(seg.max()))
-        if len(peaks) == 0:
-            raise IngestError("calibration valley holds no saturation features")
-        order = np.argsort(props["peak_heights"])[::-1][:count]
-        return [lo + int(peaks[i]) for i in order]
-
-    first = top_peaks(*regions[0], count=4)
-    last = top_peaks(*regions[-1], count=4)
-    all_peaks = sorted({k for lo, hi in regions for k in top_peaks(lo, hi, count=6)})
+    # Noise splits a smoothed feature's top into wiggles, so peaks closer
+    # than the smoothing window count as one feature.
+    window = _odd(max(3, n // 512))
+    sub = np.abs(moving_average(differential, window))
+    first = _top_peaks(sub, *regions[0], count=4, spacing=window)
+    last = _top_peaks(sub, *regions[-1], count=4, spacing=window)
+    all_peaks = sorted({
+        k for lo, hi in regions for k in _top_peaks(sub, lo, hi, count=6, spacing=window)
+    })
     peak_times = time[np.asarray(all_peaks, dtype=int)]
 
     features = np.asarray(sorted({
@@ -1088,3 +1084,16 @@ def _calibration_feature_times(time, probe, differential, table, nu_a, nu_b):
         raise IngestError("calibration candidates collapse to one point")
     _, ia, ib = best
     return float(time[ia]), float(time[ib])
+
+
+def _top_peaks(signal, lo, hi, count, spacing):
+    """Indices of the `count` highest peaks of signal[lo:hi], highest first.
+
+    Of two peaks closer than `spacing` samples only the higher one counts.
+    """
+    seg = signal[lo:hi]
+    peaks, props = find_peaks(seg, height=0.05 * float(seg.max()), distance=spacing)
+    if len(peaks) == 0:
+        raise IngestError("calibration valley holds no saturation features")
+    order = np.argsort(props["peak_heights"])[::-1][:count]
+    return [lo + int(peaks[i]) for i in order]

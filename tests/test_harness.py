@@ -12,6 +12,7 @@ from saslock.errors import ConfigError, IngestError, SweepError
 from saslock.harness import (
     IngestConfig,
     _parse_numeric_csv,
+    _top_peaks,
     default_config_path,
     ingest_scope_csv,
     load_default_config,
@@ -85,7 +86,8 @@ class TestConfigParsing:
     def test_non_finite_value_rejected(self, patch):
         old, new = patch
         key, value = new.split("=")
-        with pytest.raises(ConfigError, match=rf"line \d+: bad value for '{key}': not a finite number: '{value}'"):
+        message = rf"line \d+: bad value for '{key}': not a finite number: '{value}'"
+        with pytest.raises(ConfigError, match=message):
             parse_config(patched_config(**{old: new}))
 
     def test_bad_value_reports_line(self):
@@ -308,6 +310,15 @@ class TestIngest:
             assert abs(located - nominal) <= 2 * step
         # so the calibrated axis reproduces the known separation to well under 0.5%
         assert known == pytest.approx(6622886360.85, rel=1e-6)
+
+    def test_close_peaks_count_as_one_feature(self):
+        # A broad feature with ripple on its top, and a weaker one far away:
+        # the ripple maxima must not crowd the weaker feature out.
+        k = np.arange(400.0)
+        signal = (np.exp(-((k - 100) / 40) ** 2) + 0.6 * np.exp(-((k - 300) / 10) ** 2)
+                  + 0.02 * np.sin(2 * np.pi * k / 7))
+        assert _top_peaks(signal, 0, 400, count=2, spacing=1) == [100, 106]
+        assert _top_peaks(signal, 0, 400, count=2, spacing=31) == [100, 301]
 
     def test_missing_column_rejected(self, sweep_run, table, default_cfg):
         _, out = sweep_run
