@@ -307,16 +307,25 @@ def derive_crossovers(lines, enhancement=1.0):
     return sorted(out, key=lambda ln: ln.detuning)
 
 
-def parse_feature_name(name):
-    """Split ``Rb87:F2->co(2,3)`` into (isotope, f_ground, excited_label)."""
+def parse_manifold_name(name):
+    """Split ``Rb87:F2`` into (isotope, f_ground)."""
+    isotope, _, f_part = name.partition(":")
     try:
-        iso_part, rest = name.split(":", 1)
-        f_part, label = rest.split("->", 1)
         if not f_part.startswith("F"):
             raise ValueError
-        return iso_part, int(f_part[1:]), label
+        return isotope, int(f_part[1:])
     except ValueError:
-        raise UnknownFeatureError(f"malformed feature name {name!r}") from None
+        raise UnknownFeatureError(
+            f"malformed manifold name {name!r}; expected like 'Rb87:F2'"
+        ) from None
+
+
+def parse_feature_name(name):
+    """Split ``Rb87:F2->co(2,3)`` into (isotope, f_ground, excited_label)."""
+    manifold, arrow, label = name.partition("->")
+    if not arrow:
+        raise UnknownFeatureError(f"malformed feature name {name!r}")
+    return (*parse_manifold_name(manifold), label)
 
 
 def find_feature(table: LineTable, name) -> TransitionLine:

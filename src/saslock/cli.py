@@ -96,11 +96,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if args.command == "analyze":
             return _analyze(cfg, args)
         out = Path(args.out)

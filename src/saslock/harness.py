@@ -11,7 +11,6 @@ config hash and seed, artifact paths are relative to the output directory,
 and no wall-clock time enters any artifact, so reruns are byte-identical.
 """
 
-import hashlib
 import io
 import json
 import math
@@ -30,10 +29,10 @@ from .atomic_data import (
     load_default_line_data,
     load_line_data,
     manifold_features,
+    parse_manifold_name,
     transitions,
 )
 from .errors import ConfigError, IngestError, NoSubDopplerFeaturesError
-from .lineshape import doppler_fwhm
 from .plant import PlantConfig, RampConfig
 from .servo import (
     Disturbances,
@@ -44,6 +43,7 @@ from .servo import (
     write_locklog_csv,
 )
 from .spectrum import (
+    TRACE_FORMAT_VERSION,
     MarkerParams,
     MarkerSelection,
     MediumConfig,
@@ -51,8 +51,11 @@ from .spectrum import (
     SweepTrace,
     depth_metrics,
     extract_markers,
+    isotope_doppler_fwhm,
     moving_average,
     moving_median,
+    odd_window,
+    sha256_16,
     subdoppler_extrema,
     synthesize_sweep,
     trace_to_csv,
@@ -129,7 +132,7 @@ class ScenarioConfig:
         return load_line_data(self.lines_path)
 
     def fingerprint(self):
-        return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
+        return sha256_16(repr(self))
 
 
 # --- config file schema: section -> (constructor, {file key -> field, caster}) ---
@@ -347,13 +350,7 @@ def validate_config(cfg: ScenarioConfig, source="<config>"):
 
 def manifold_window(table: LineTable, cfg: ScenarioConfig):
     """Detuning window (lo, hi) around the marker manifold's direct lines."""
-    name = cfg.markers.manifold
-    try:
-        iso, f_part = name.split(":", 1)
-        f_ground = int(f_part.lstrip("F"))
-    except ValueError:
-        raise ConfigError(f"bad manifold name {name!r}; expected like 'Rb87:F2'") from None
-    lines = transitions(table, iso, f_ground)
+    lines = transitions(table, *parse_manifold_name(cfg.markers.manifold))
     margin = cfg.markers.window_margin_hz
     return (lines[0].detuning - margin, lines[-1].detuning + margin)
 
@@ -385,17 +382,7 @@ class ExperimentReport:
     notes: dict = field(default_factory=dict)
 
     def to_json(self):
-        payload = {
-            "format": self.format,
-            "experiment": self.experiment,
-            "passed": self.passed,
-            "criteria": [vars(c) for c in self.criteria],
-            "measured": self.measured,
-            "artifacts": self.artifacts,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "notes": self.notes,
-        }
+        payload = {**vars(self), "criteria": [vars(c) for c in self.criteria]}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self):
@@ -412,8 +399,12 @@ def _write_artifact(out_dir, name, text):
     return name
 
 
-def _finalize(report: ExperimentReport, out_dir, fmt="json"):
-    report.passed = all(c.passed for c in report.criteria)
+def _finalize(out_dir, fmt, experiment, cfg, seed, criteria, measured, artifacts, notes=None):
+    """Build an experiment's report, passed when every criterion passed, and write it."""
+    report = ExperimentReport(
+        experiment, all(c.passed for c in criteria), criteria, measured, artifacts,
+        cfg.fingerprint(), seed, notes=notes or {},
+    )
     ext = "json" if fmt == "json" else "csv"
     text = report.to_json() if fmt == "json" else report.to_csv()
     name = _write_artifact(out_dir, f"{report.experiment}_report.{ext}", text)
@@ -472,49 +463,18 @@ def run_sweep_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None) ->
     except NoSubDopplerFeaturesError as exc:
         notes["no_sub_doppler_features"] = str(exc)
         criteria.append(Criterion("sub_doppler_features_present", False, 0.0, "> 0 features"))
-        report = ExperimentReport(
-            "sweep", False, criteria, measured, artifacts, cfg.fingerprint(), noise.seed,
-            notes=notes,
-        )
-        return _finalize(report, out_dir, fmt)
+        return _finalize(out_dir, fmt, "sweep", cfg, noise.seed, criteria, measured, artifacts,
+                         notes)
 
     census = subdoppler_extrema(trace, window)
     expected_census = _expected_feature_count(table, cfg)
 
-    measured.update(
-        {
-            "markers_v": {"A": markers.A, "B": markers.B, "C": markers.C, "D": markers.D},
-            "doppler_depth_pct": depths.doppler_depth,
-            "hyperfine_depth_pct": depths.hyperfine_depth,
-            "crossover_depth_pct": depths.crossover_depth,
-            "subdoppler_feature_count": int(len(census)),
-        }
-    )
-    criteria.extend(
-        [
-            Criterion(
-                "doppler_depth",
-                depths.doppler_depth > STANDARD_DEPTH_THRESHOLDS["doppler"],
-                depths.doppler_depth,
-                f"> {STANDARD_DEPTH_THRESHOLDS['doppler']}",
-                "%",
-            ),
-            Criterion(
-                "hyperfine_depth",
-                depths.hyperfine_depth > STANDARD_DEPTH_THRESHOLDS["hyperfine"],
-                depths.hyperfine_depth,
-                f"> {STANDARD_DEPTH_THRESHOLDS['hyperfine']}",
-                "%",
-            ),
-            Criterion(
-                "crossover_depth",
-                depths.crossover_depth > STANDARD_DEPTH_THRESHOLDS["crossover"],
-                depths.crossover_depth,
-                f"> {STANDARD_DEPTH_THRESHOLDS['crossover']}",
-                "%",
-            ),
-        ]
-    )
+    measured["markers_v"] = {"A": markers.A, "B": markers.B, "C": markers.C, "D": markers.D}
+    measured["subdoppler_feature_count"] = int(len(census))
+    for name, threshold in STANDARD_DEPTH_THRESHOLDS.items():
+        depth = getattr(depths, f"{name}_depth")
+        measured[f"{name}_depth_pct"] = depth
+        criteria.append(Criterion(f"{name}_depth", depth > threshold, depth, f"> {threshold}", "%"))
     if not cfg.noise.enabled:
         # The exact feature count is only meaningful without detector noise,
         # which can bury the weakest hyperfine line.
@@ -528,16 +488,11 @@ def run_sweep_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None) ->
             )
         )
 
-    report = ExperimentReport(
-        "sweep", True, criteria, measured, artifacts, cfg.fingerprint(), noise.seed, notes=notes
-    )
-    return _finalize(report, out_dir, fmt)
+    return _finalize(out_dir, fmt, "sweep", cfg, noise.seed, criteria, measured, artifacts, notes)
 
 
 def _expected_feature_count(table, cfg):
-    name = cfg.markers.manifold
-    iso, f_part = name.split(":", 1)
-    n = len(transitions(table, iso, int(f_part.lstrip("F"))))
+    n = len(transitions(table, *parse_manifold_name(cfg.markers.manifold)))
     return n + n * (n - 1) // 2
 
 
@@ -622,10 +577,7 @@ def run_lock_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None) -> 
                 "%",
             )
         )
-    report = ExperimentReport(
-        "lock", True, criteria, measured, artifacts, cfg.fingerprint(), seed
-    )
-    return _finalize(report, out_dir, fmt)
+    return _finalize(out_dir, fmt, "lock", cfg, seed, criteria, measured, artifacts)
 
 
 def run_temp_step_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None) -> ExperimentReport:
@@ -647,10 +599,7 @@ def run_temp_step_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None
     )
     completed = _check_completed(log, criteria, measured)
     if not (locked_before and completed):
-        report = ExperimentReport(
-            "temp_step", False, criteria, measured, artifacts, cfg.fingerprint(), seed
-        )
-        return _finalize(report, out_dir, fmt)
+        return _finalize(out_dir, fmt, "temp_step", cfg, seed, criteria, measured, artifacts)
 
     lock_point = log.meta["lock_point_hz"]
     held = log.phase[-1] == "locked"
@@ -669,7 +618,7 @@ def run_temp_step_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None
     excursion = float(np.max(np.abs(log.detuning[after] - lock_point)))
     resettle_band = 0.5e6
     smooth_dev = np.abs(
-        moving_average(log.detuning[after] - lock_point, _odd(int(0.01 / cfg.run.dt_s)))
+        moving_average(log.detuning[after] - lock_point, odd_window(0.01 / cfg.run.dt_s))
     )
     outside = np.nonzero(smooth_dev > resettle_band)[0]
     resettle_time = float(log.t[after][outside[-1]] - t_step) if len(outside) else 0.0
@@ -701,14 +650,13 @@ def run_temp_step_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None
             "Hz",
         )
     )
-    report = ExperimentReport(
-        "temp_step", True, criteria, measured, artifacts, cfg.fingerprint(), seed
-    )
-    return _finalize(report, out_dir, fmt)
+    return _finalize(out_dir, fmt, "temp_step", cfg, seed, criteria, measured, artifacts)
 
 
 def fluorescence_proxy(delta_hz, doppler_fwhm_hz):
     """Normalized Doppler-profile brightness at detuning offset delta."""
+    # Not lineshape.gaussian_kernel: its rounding differs in the last bit at
+    # some offsets, which would change the fluorescence report.
     x = 2.0 * delta_hz / doppler_fwhm_hz
     return math.exp(-math.log(2.0) * x * x)
 
@@ -718,8 +666,7 @@ def run_fluorescence_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=N
     seed = cfg.noise.seed if seed is None else seed
     table = cfg.load_table()
     feature = find_feature(table, cfg.lock.target_feature)
-    iso = table.isotope(feature.isotope)
-    fwhm = doppler_fwhm(cfg.medium.temperature, iso.mass, table.carrier_hz)
+    fwhm = isotope_doppler_fwhm(table, cfg.medium, feature.isotope)
 
     log = _run_closed_loop(cfg, seed, cfg.run.fluor_duration_s)
     locked_mask = np.asarray([p == "locked" for p in log.phase])
@@ -728,10 +675,7 @@ def run_fluorescence_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=N
     if not locked:
         criteria.append(Criterion("lock_achieved", False, 0.0, "locked during run"))
     if not (_check_completed(log, criteria, measured) and locked):
-        report = ExperimentReport(
-            "fluorescence", False, criteria, measured, [], cfg.fingerprint(), seed
-        )
-        return _finalize(report, out_dir, fmt)
+        return _finalize(out_dir, fmt, "fluorescence", cfg, seed, criteria, measured, [])
 
     steady = locked_mask & (log.t >= log.t[-1] - 0.1)
     delta_locked = abs(float(np.mean(log.detuning[steady])) - log.meta["lock_point_hz"])
@@ -766,10 +710,7 @@ def run_fluorescence_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=N
             "monotone_decrease", strictly_decreasing, float(strictly_decreasing), "F strictly decreasing in |delta|"
         ),
     ]
-    report = ExperimentReport(
-        "fluorescence", True, criteria, measured, [], cfg.fingerprint(), seed
-    )
-    return _finalize(report, out_dir, fmt)
+    return _finalize(out_dir, fmt, "fluorescence", cfg, seed, criteria, measured, [])
 
 
 def run_all(cfg: ScenarioConfig, out_dir, fmt="json", seed=None):
@@ -779,11 +720,6 @@ def run_all(cfg: ScenarioConfig, out_dir, fmt="json", seed=None):
         run_temp_step_experiment(cfg, out_dir, fmt, seed),
         run_fluorescence_experiment(cfg, out_dir, fmt, seed),
     ]
-
-
-def _odd(n):
-    n = max(1, int(n))
-    return n if n % 2 else n + 1
 
 
 def _check_completed(log, criteria, measured):
@@ -808,59 +744,18 @@ def _write_locklog(log, out_dir, stem):
     # before the SVG is rendered; holding both raises peak memory.
     artifacts = [_write_artifact(out_dir, f"{stem}.csv", _locklog_csv(log))]
     if len(log):
-        artifacts.append(_write_artifact(out_dir, f"{stem}.svg", _locklog_svg(log)))
-    return artifacts
-
-
-def _locklog_svg(log):
-    return render_line_plot(
-        log.t,
-        [
-            ("error (V)", log.error),
-            ("control (V)", log.control),
-        ],
-        title="lock time series",
-        x_label="time (s)",
-        y_label="signal (V)",
-    )
-
-
-def emit_plot(data, path, table: LineTable = None):
-    """Write a standalone SVG for a SweepTrace or TimeSeriesLog.
-
-    Sweep traces get one polyline per detector channel plus feature ticks
-    when a line table is supplied; time-series logs get error and control.
-    Identical inputs produce identical bytes.
-    """
-    path = Path(path)
-    if isinstance(data, SweepTrace):
-        annotations = []
-        if table is not None:
-            lo, hi = float(data.detuning_axis[0]), float(data.detuning_axis[-1])
-            annotations = [
-                (ln.detuning / 1e9, ln.f_excited_label)
-                for ln in table.lines
-                if lo <= ln.detuning <= hi
-            ]
         svg = render_line_plot(
-            data.detuning_axis / 1e9,
+            log.t,
             [
-                ("reference", data.reference),
-                ("probe", data.probe),
-                ("differential", data.differential),
+                ("error (V)", log.error),
+                ("control (V)", log.control),
             ],
-            title="saturated absorption sweep",
-            x_label="detuning (GHz)",
-            y_label="detector signal (V)",
-            annotations=annotations,
+            title="lock time series",
+            x_label="time (s)",
+            y_label="signal (V)",
         )
-    elif isinstance(data, TimeSeriesLog):
-        svg = _locklog_svg(data)
-    else:
-        raise TypeError(f"cannot plot {type(data).__name__}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(svg, encoding="utf-8")
-    return path
+        artifacts.append(_write_artifact(out_dir, f"{stem}.svg", svg))
+    return artifacts
 
 
 # ---------------------------------------------------------------------------
@@ -992,7 +887,7 @@ def ingest_scope_csv(path, table: LineTable, ingest_cfg: IngestConfig,
             differential[::-1].copy(),
         )
     meta = {
-        "format": "sas-trace/1",
+        "format": TRACE_FORMAT_VERSION,
         "noise_seed": None,
         "config_hash": "ingested",
         "samples_per_ramp": len(time),
@@ -1013,7 +908,7 @@ def _valley_regions(time, probe):
     fragments); nearby fragments are merged and slivers dropped.
     """
     n = len(time)
-    envelope = moving_median(probe, _odd(max(5, n // 64)))
+    envelope = moving_median(probe, odd_window(n // 64, 5))
     # Off-resonance level from a high percentile: the median sags when
     # valleys and their wings cover much of the sweep.
     baseline = float(np.percentile(envelope, 90))
@@ -1053,7 +948,7 @@ def _calibration_feature_times(time, probe, differential, table, nu_a, nu_b):
 
     # Noise splits a smoothed feature's top into wiggles, so peaks closer
     # than the smoothing window count as one feature.
-    window = _odd(max(3, n // 512))
+    window = odd_window(n // 512, 3)
     sub = np.abs(moving_average(differential, window))
     first = _top_peaks(sub, *regions[0], count=4, spacing=window)
     last = _top_peaks(sub, *regions[-1], count=4, spacing=window)

@@ -1,24 +1,26 @@
 """Closed-form spectral line shapes.
 
-Two profiles are used throughout the simulator:
+Two plain-array kernels hold the arithmetic of every profile in the
+simulator, each with peak value ``amp`` at ``nu0`` and FWHM ``fwhm``:
 
-* a peak-normalized Lorentzian
+* ``lorentzian_kernel``
 
-      L(nu) = 1 / (1 + 4 (nu - nu0)^2 / Gamma^2)
+      amp / (1 + 4 x^2),    x = (nu - nu0) / fwhm
 
-  with maximum 1 at line center and FWHM Gamma, modelling the natural
-  (and saturation-broadened) response of a single velocity class;
+  the natural (and saturation-broadened) response of one velocity class;
 
-* an area-normalized Doppler Gaussian
+* ``gaussian_kernel``
 
-      g(nu) = 2 sqrt(ln 2) / (sqrt(pi) dnuD)
-              * exp(-(2 sqrt(ln 2) (nu - nu0) / dnuD)^2)
+      amp * exp(-4 ln2 ((nu - nu0) / fwhm)^2)
 
-  with FWHM dnuD and unit integral, modelling the thermal velocity
-  distribution of the vapor.
+  the thermal velocity distribution of the vapor.
 
-The normalization asymmetry (peak vs. area) is intentional; all amplitude
-scaling of synthesized spectra lives in the spectrum module.
+``spectrum`` builds its optical depth, bleaching dips and fit models from
+them. The public profiles are the kernels at fixed amplitudes:
+``lorentzian`` is peak-normalized (amp = 1) and ``doppler_gaussian`` is
+area-normalized (amp = 2 sqrt(ln 2) / (sqrt(pi) dnuD), unit integral).
+The normalization asymmetry is intentional; all amplitude scaling of
+synthesized spectra lives in the spectrum module.
 """
 
 import math
@@ -55,17 +57,27 @@ class GaussianParams:
             raise ValueError(f"fwhm must be > 0, got {self.fwhm}")
 
 
+def lorentzian_kernel(nu, nu0, fwhm, amp):
+    """Lorentzian of peak amp at nu0 and FWHM fwhm, over an array nu (Hz)."""
+    x = (nu - nu0) / fwhm
+    return amp / (1.0 + 4.0 * x * x)
+
+
+def gaussian_kernel(nu, nu0, fwhm, amp):
+    """Gaussian of peak amp at nu0 and FWHM fwhm, over an array nu (Hz)."""
+    return amp * np.exp(-4.0 * math.log(2.0) * ((nu - nu0) / fwhm) ** 2)
+
+
 def lorentzian(nu, p: LorentzianParams):
     """Peak-normalized Lorentzian; accepts scalar or array detuning (Hz)."""
-    x = (np.asarray(nu, dtype=float) - p.nu0) / p.gamma_fwhm
-    out = 1.0 / (1.0 + 4.0 * x * x)
+    out = lorentzian_kernel(np.asarray(nu, dtype=float), p.nu0, p.gamma_fwhm, 1.0)
     return float(out) if np.isscalar(nu) else out
 
 
 def doppler_gaussian(nu, p: GaussianParams):
     """Area-normalized Gaussian density per Hz; scalar or array detuning."""
-    arg = _TWO_SQRT_LN2 * (np.asarray(nu, dtype=float) - p.nu0) / p.fwhm
-    out = (_TWO_SQRT_LN2 / (math.sqrt(math.pi) * p.fwhm)) * np.exp(-arg * arg)
+    amp = _TWO_SQRT_LN2 / (math.sqrt(math.pi) * p.fwhm)
+    out = gaussian_kernel(np.asarray(nu, dtype=float), p.nu0, p.fwhm, amp)
     return float(out) if np.isscalar(nu) else out
 
 

@@ -43,7 +43,7 @@ from .atomic_data import find_feature
 from .errors import ModeHopError, SaslockError, UnlockableError
 from .lineshape import saturation_broadened_width
 from .plant import _plant_constants, _plant_update
-from .spectrum import NoiseConfig, error_signal, synthesize_sweep
+from .spectrum import NoiseConfig, error_signal, synthesize_sweep, write_series_csv
 
 LOCKLOG_FORMAT_VERSION = "sas-locklog/1"
 
@@ -642,13 +642,8 @@ def closed_loop_run(
 
 
 def write_locklog_csv(log: TimeSeriesLog, fileobj):
-    w = fileobj.write
-    w(f"# format={LOCKLOG_FORMAT_VERSION}\n")
-    for key in ("seed", "dt", "lock_point_hz", "polarity", "aborted"):
-        w(f"# {key}={log.meta.get(key)}\n")
-    w("t_s,detuning_hz,error_v,control_v,temperature_k,phase\n")
-    for i in range(len(log)):
-        w(
-            f"{float(log.t[i])!r},{float(log.detuning[i])!r},{float(log.error[i])!r},"
-            f"{float(log.control[i])!r},{float(log.temperature[i])!r},{log.phase[i]}\n"
-        )
+    write_series_csv(fileobj, LOCKLOG_FORMAT_VERSION, log.meta,
+                     ("seed", "dt", "lock_point_hz", "polarity", "aborted"),
+                     {"t_s": log.t, "detuning_hz": log.detuning, "error_v": log.error,
+                      "control_v": log.control, "temperature_k": log.temperature,
+                      "phase": log.phase})

@@ -451,28 +451,6 @@ class TestPlots:
         b = render_line_plot(clean_trace.detuning_axis, [("p", clean_trace.probe)], **kwargs)
         assert a == b
 
-    def test_emit_plot_trace_and_log(self, clean_trace, table, tmp_path):
-        from saslock.harness import emit_plot
-        from saslock.servo import LockConfig, PidConfig, closed_loop_run
-        from saslock.plant import PlantConfig, RampConfig
-
-        p1 = emit_plot(clean_trace, tmp_path / "trace.svg", table=table)
-        assert p1.read_text().count("<polyline") == 3
-
-        log = closed_loop_run(
-            table, load_default_config().medium, PlantConfig(base_detuning=0.5e9),
-            RampConfig(span=3.0e9), PidConfig(), LockConfig(),
-            duration=0.02, noise_enabled=False, start_locked=True,
-        )
-        p2 = emit_plot(log, tmp_path / "log.svg")
-        assert "<svg" in p2.read_text()
-
-        emit_plot(clean_trace, tmp_path / "again.svg", table=table)
-        assert (tmp_path / "again.svg").read_bytes() == p1.read_bytes()
-
-        with pytest.raises(TypeError):
-            emit_plot({"not": "plottable"}, tmp_path / "x.svg")
-
 
 class TestCli:
     def test_sweep_exit_zero(self, tmp_path, capsys):
