@@ -310,14 +310,12 @@ def derive_crossovers(lines, enhancement=1.0):
 def parse_manifold_name(name):
     """Split ``Rb87:F2`` into (isotope, f_ground)."""
     isotope, _, f_part = name.partition(":")
-    try:
-        if not f_part.startswith("F"):
-            raise ValueError
-        return isotope, int(f_part[1:])
-    except ValueError:
-        raise UnknownFeatureError(
-            f"malformed manifold name {name!r}; expected like 'Rb87:F2'"
-        ) from None
+    if f_part.startswith("F"):
+        try:
+            return isotope, int(f_part[1:])
+        except ValueError:
+            pass
+    raise UnknownFeatureError(f"malformed manifold name {name!r}; expected like 'Rb87:F2'")
 
 
 def parse_feature_name(name):

@@ -93,7 +93,10 @@ def _analyze(cfg, args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error("--seed must be >= 0")
     try:
         cfg = _resolve_config(args.config)
         if args.command == "analyze":

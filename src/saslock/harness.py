@@ -32,7 +32,13 @@ from .atomic_data import (
     parse_manifold_name,
     transitions,
 )
-from .errors import ConfigError, IngestError, NoSubDopplerFeaturesError
+from .errors import (
+    ConfigError,
+    IngestError,
+    LineDataError,
+    NoSubDopplerFeaturesError,
+    UnknownFeatureError,
+)
 from .plant import PlantConfig, RampConfig
 from .servo import (
     Disturbances,
@@ -72,6 +78,12 @@ REPORT_FORMAT_VERSION = "sas-report/1"
 STANDARD_DEPTH_THRESHOLDS = {"doppler": 30.0, "hyperfine": 2.5, "crossover": 15.0}
 EXPERIMENTAL_DEPTHS_REFERENCE = {"doppler": 236.0, "hyperfine": 38.3, "crossover": 256.0}
 
+# Resource caps, checked before anything runs: a sweep's sample count and a
+# closed-loop run's step count (duration / dt). The bundled temperature step
+# takes 130,000 steps; a 262,144-sample sweep runs in a few seconds.
+MAX_SWEEP_SAMPLES = 2**22
+MAX_RUN_STEPS = 10**7
+
 
 @dataclass(frozen=True)
 class MarkerConfig:
@@ -99,6 +111,9 @@ class RunConfig:
         for name in ("dt_s", "lock_duration_s", "temp_step_duration_s", "fluor_duration_s"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
+        for name in ("lock_duration_s", "temp_step_duration_s", "fluor_duration_s"):
+            if getattr(self, name) / self.dt_s > MAX_RUN_STEPS:
+                raise ValueError(f"{name} / dt_s exceeds {MAX_RUN_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -334,18 +349,23 @@ def validate_config(cfg: ScenarioConfig, source="<config>"):
     start, stop, n = cfg.sweep
     if not stop > start:
         raise ConfigError(f"{source}: sweep bounds inverted: [{start}, {stop}]")
-    if int(n) < 16:
-        raise ConfigError(f"{source}: sweep needs >= 16 samples, got {n}")
+    if not 16 <= int(n) <= MAX_SWEEP_SAMPLES:
+        raise ConfigError(f"{source}: sweep needs 16 to {MAX_SWEEP_SAMPLES} samples, got {n}")
     if cfg.plant.k_ctrl == 0:
         raise ConfigError(f"{source}: plant k_ctrl must be nonzero")
-    table = cfg.load_table()
-    for name in (
-        cfg.markers.hyperfine_feature,
-        cfg.markers.crossover_feature,
-        cfg.lock.target_feature,
-    ):
-        find_feature(table, name)  # raises UnknownFeatureError on bad names
-    manifold_window(table, cfg)
+    try:
+        table = cfg.load_table()
+        for name in (
+            cfg.markers.hyperfine_feature,
+            cfg.markers.crossover_feature,
+            cfg.lock.target_feature,
+            cfg.ingest.feature_a,
+            cfg.ingest.feature_b,
+        ):
+            find_feature(table, name)
+        manifold_window(table, cfg)
+    except (LineDataError, UnknownFeatureError, OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def manifold_window(table: LineTable, cfg: ScenarioConfig):

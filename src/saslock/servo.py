@@ -47,6 +47,9 @@ from .spectrum import NoiseConfig, error_signal, synthesize_sweep, write_series_
 
 LOCKLOG_FORMAT_VERSION = "sas-locklog/1"
 
+# The derivative window is re-summed every step, so its length is capped.
+MAX_DERIVATIVE_SMOOTHING = 1024
+
 PHASES = ("sweeping", "engaging", "locked", "lost")
 LEGAL_TRANSITIONS = {
     "sweeping": ("sweeping", "engaging"),
@@ -76,9 +79,10 @@ class PidConfig:
             raise ValueError(
                 f"output_min must be < output_max, got [{self.output_min}, {self.output_max}]"
             )
-        if self.derivative_smoothing < 1:
+        if not 1 <= self.derivative_smoothing <= MAX_DERIVATIVE_SMOOTHING:
             raise ValueError(
-                f"derivative_smoothing must be >= 1, got {self.derivative_smoothing}"
+                f"derivative_smoothing must be in [1, {MAX_DERIVATIVE_SMOOTHING}], "
+                f"got {self.derivative_smoothing}"
             )
 
 
@@ -279,6 +283,11 @@ class LockConfig:
         for name in ("hold_time", "loss_time", "relock_delay", "sweep_time", "filter_time"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
+        if not 0 < self.lock_threshold_frac < self.loss_threshold_frac:
+            raise ValueError(
+                "thresholds must satisfy 0 < lock_threshold_frac < loss_threshold_frac, got "
+                f"{self.lock_threshold_frac} and {self.loss_threshold_frac}"
+            )
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,8 @@ class NoiseConfig:
     def __post_init__(self):
         if self.sigma_v < 0:
             raise ValueError(f"sigma_v must be >= 0, got {self.sigma_v}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from saslock.atomic_data import (
     Isotope,
@@ -97,6 +98,47 @@ class TestLoading:
             lines=table.lines,
             source_note=table.source_note,
         )
+        assert serialize_line_data(again) == text
+
+
+# Every manifold a line table must hold.
+REQUIRED_MANIFOLDS = [("Rb85", 2), ("Rb85", 3), ("Rb87", 1), ("Rb87", 2)]
+
+
+@strategies.composite
+def random_tables(draw):
+    finite = strategies.floats(allow_nan=False, allow_infinity=False)
+    positive = strategies.one_of(
+        strategies.floats(min_value=5e-324, allow_infinity=False),
+        strategies.sampled_from([5e-324, 1e-300, 1e300, 0.1]),
+    )
+    detunings = sorted(draw(strategies.lists(
+        strategies.one_of(finite, strategies.sampled_from([-0.0, 5e-324, 1e300, -1e-300])),
+        min_size=4, max_size=16, unique=True,
+    )))
+    manifolds = draw(strategies.permutations(
+        REQUIRED_MANIFOLDS
+        + draw(strategies.lists(strategies.sampled_from(REQUIRED_MANIFOLDS),
+                                min_size=len(detunings) - 4, max_size=len(detunings) - 4))
+    ))
+    ab85 = draw(strategies.floats(min_value=0.0, max_value=1.0))
+    isotopes = (Isotope("Rb85", ab85, draw(positive)), Isotope("Rb87", 1.0 - ab85, draw(positive)))
+    lines = tuple(
+        TransitionLine(iso, f_ground, f"F'={draw(strategies.integers(0, 5))}", detuning,
+                       draw(positive), draw(positive))
+        for detuning, (iso, f_ground) in zip(detunings, manifolds)
+    )
+    note = draw(strategies.text(alphabet="abcXYZ019 (),;:.-'", max_size=30)).strip()
+    return LineTable(draw(finite), isotopes, lines, note)
+
+
+class TestLineDataRoundTrip:
+    @settings(max_examples=50, deadline=None)
+    @given(random_tables())
+    def test_round_trip_exact(self, table):
+        text = serialize_line_data(table)
+        again = parse_line_data(text)
+        assert again == table
         assert serialize_line_data(again) == text
 
 

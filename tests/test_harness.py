@@ -70,11 +70,78 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="medium"):
             parse_config(text)
 
-    def test_unknown_feature_rejected(self):
-        text = patched_config(**{"crossover_feature=Rb87:F2->co(2,3)":
-                                 "crossover_feature=Rb87:F2->co(8,9)"})
-        with pytest.raises(Exception):
-            parse_config(text)
+    @pytest.mark.parametrize("patch", [
+        ("crossover_feature=Rb87:F2->co(2,3)", "crossover_feature=Rb87:F2->co(8,9)"),
+        ("target_feature=Rb87:F2->co(2,3)", "target_feature=Rb87:F9->F'=3"),
+        ("feature_b=Rb85:F3->co(3,4)", "feature_b=Rb85:F3->co(3,9)"),
+        ("manifold=Rb87:F2", "manifold=Rb87:F9"),
+        ("manifold=Rb87:F2", "manifold=Rb87:2"),
+        ("manifold=Rb87:F2", "manifold=Rb87:FF2"),
+        ("path=bundled", "path=/nonexistent/rb_d2_lines.txt"),
+    ])
+    def test_unknown_name_or_path_rejected(self, patch):
+        old, new = patch
+        with pytest.raises(ConfigError, match=r"^<string>: "):
+            parse_config(patched_config(**{old: new}))
+
+    @pytest.mark.parametrize("patch", [
+        ("samples=4096", "samples=100000000000"),
+        ("samples=4096", f"samples={2**22 + 1}"),
+        ("lock_threshold_frac=0.02", "lock_threshold_frac=-1"),
+        ("lock_threshold_frac=0.02", "lock_threshold_frac=0"),
+        ("loss_threshold_frac=0.5", "loss_threshold_frac=0.01"),
+        ("derivative_smoothing=5", "derivative_smoothing=100000000"),
+        ("derivative_smoothing=5", "derivative_smoothing=1025"),
+        ("dt_s=1.0e-4", "dt_s=1e-12"),
+        ("temp_step_duration_s=13.0", "temp_step_duration_s=1001.0"),
+        ("seed=20240917", "seed=-1"),
+    ])
+    def test_out_of_range_value_rejected(self, patch):
+        old, new = patch
+        with pytest.raises(ConfigError):
+            parse_config(patched_config(**{old: new}))
+
+    @pytest.mark.parametrize("patch", [
+        ("samples=4096", f"samples={2**22}"),
+        ("derivative_smoothing=5", "derivative_smoothing=1024"),
+        ("temp_step_duration_s=13.0", "temp_step_duration_s=1000.0"),
+    ])
+    def test_values_at_the_caps_accepted(self, patch):
+        old, new = patch
+        parse_config(patched_config(**{old: new}))
+
+    @settings(max_examples=100, deadline=None)
+    @given(strategies.lists(
+        strategies.tuples(
+            strategies.integers(0, len(DEFAULT_TEXT.splitlines()) - 1),
+            strategies.sampled_from(["value", "delete", "insert"]),
+            strategies.one_of(
+                strategies.text(max_size=24),
+                strategies.integers().map(str),
+                strategies.floats().map(repr),
+                strategies.sampled_from([
+                    "", "-1", "0", "1e-12", "1e400", "nan", "100000000000", "true",
+                    "Rb87:2", "Rb87:FF2", "Rb87:F9", "Rb87:F9->F'=3", "Rb87:F2->co(2,3)",
+                    "/nonexistent", "bundled", "[lock]", "[nowhere]", "format=sas-config/1",
+                ]),
+            ),
+        ),
+        min_size=1, max_size=4,
+    ))
+    def test_edited_config_raises_only_config_error(self, edits):
+        lines = DEFAULT_TEXT.splitlines()
+        for index, kind, text in edits:
+            index %= len(lines) or 1
+            if kind == "insert" or not lines:
+                lines.insert(index, text)
+            elif kind == "delete":
+                del lines[index]
+            else:
+                lines[index] = lines[index].partition("=")[0] + "=" + text
+        try:
+            parse_config("\n".join(lines))
+        except ConfigError:
+            pass
 
     @pytest.mark.parametrize("patch", [
         ("saturation_s=2.0", "saturation_s=nan"),
@@ -477,6 +544,25 @@ class TestCli:
         printed = capsys.readouterr().out
         assert code == 0
         assert "doppler=" in printed
+
+    @pytest.mark.parametrize("patch", [
+        ("target_feature=Rb87:F2->co(2,3)", "target_feature=Rb87:F9->F'=3"),
+        ("path=bundled", "path=/nonexistent"),
+        ("manifold=Rb87:F2", "manifold=Rb87:FF2"),
+        ("samples=4096", "samples=100000000000"),
+        ("dt_s=1.0e-4", "dt_s=1e-12"),
+    ])
+    def test_bad_config_value_exit_two(self, patch, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(patched_config(**dict([patch])))
+        code = cli_main(["--config", str(cfg), "--out", str(tmp_path), "sweep"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}: ")
+
+    def test_negative_seed_exit_two(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--out", str(tmp_path), "--seed", "-1", "sweep"])
+        assert exc.value.code == 2
 
     def test_run_failure_exit_three(self, tmp_path, capsys):
         code = cli_main(["--out", str(tmp_path), "analyze", str(tmp_path / "missing.csv")])

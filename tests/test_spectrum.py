@@ -14,6 +14,7 @@ from saslock.errors import (
 )
 from saslock.harness import manifold_window
 from saslock.spectrum import (
+    TRACE_FORMAT_VERSION,
     DepthMarkers,
     MarkerSelection,
     MediumConfig,
@@ -335,7 +336,42 @@ class TestErrorSignal:
             error_signal(self.dip_trace(), "derivative", window)
 
 
+# Floats whose repr round trip is easy to get wrong: signed zeros,
+# subnormals, the normal limits and magnitudes near 1e+-300.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+               1e300, -1e300, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+
+
+@strategies.composite
+def random_traces(draw):
+    finite = strategies.floats(allow_nan=False, allow_infinity=False)
+    axis = sorted(draw(strategies.lists(
+        strategies.one_of(finite, strategies.sampled_from(EDGE_FLOATS)),
+        min_size=2, max_size=40, unique=True,
+    )))
+    n = len(axis)
+    level = strategies.one_of(
+        strategies.floats(min_value=0.0, allow_infinity=False),
+        strategies.sampled_from([x for x in EDGE_FLOATS if not x < 0]),
+    )
+    any_value = strategies.one_of(finite, strategies.sampled_from(EDGE_FLOATS))
+    reference, probe = (draw(strategies.lists(level, min_size=n, max_size=n)) for _ in "rp")
+    differential = draw(strategies.lists(any_value, min_size=n, max_size=n))
+    meta = {"noise_seed": draw(strategies.one_of(strategies.none(), strategies.integers(0))),
+            "config_hash": "0123456789abcdef", "samples_per_ramp": n}
+    return SweepTrace(*map(np.asarray, (axis, reference, probe, differential)), meta)
+
+
 class TestTraceCsv:
+    @settings(max_examples=50, deadline=None)
+    @given(random_traces())
+    def test_round_trip_exact_for_any_floats(self, trace):
+        again = read_trace_csv(trace_to_csv(trace))
+        for name in ("detuning_axis", "reference", "probe", "differential"):
+            assert getattr(again, name).tobytes() == getattr(trace, name).tobytes()
+        assert again.meta == {"format": TRACE_FORMAT_VERSION,
+                              **{key: str(value) for key, value in trace.meta.items()}}
+
     def test_round_trip_exact(self, clean_trace):
         text = trace_to_csv(clean_trace)
         again = read_trace_csv(text)
