@@ -298,7 +298,7 @@ def config_fingerprint(table, medium, sweep, noise):
 
 
 def odd_window(n, minimum=1):
-    """The odd window length nearest above max(minimum, int(n))."""
+    """max(minimum, int(n)), rounded up to an odd window length."""
     n = max(minimum, int(n))
     return n if n % 2 else n + 1
 
