@@ -70,8 +70,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="medium"):
             parse_config(text)
 
+    def test_unknown_feature_rejected(self):
+        text = patched_config(**{"crossover_feature=Rb87:F2->co(2,3)":
+                                 "crossover_feature=Rb87:F2->co(8,9)"})
+        with pytest.raises(ConfigError, match="co\\(8,9\\)"):
+            parse_config(text)
+
     @pytest.mark.parametrize("patch", [
-        ("crossover_feature=Rb87:F2->co(2,3)", "crossover_feature=Rb87:F2->co(8,9)"),
         ("target_feature=Rb87:F2->co(2,3)", "target_feature=Rb87:F9->F'=3"),
         ("feature_b=Rb85:F3->co(3,4)", "feature_b=Rb85:F3->co(3,9)"),
         ("manifold=Rb87:F2", "manifold=Rb87:F9"),
