@@ -558,8 +558,9 @@ class TestCli:
         ("dt_s=1.0e-4", "dt_s=1e-12"),
     ])
     def test_bad_config_value_exit_two(self, patch, tmp_path, capsys):
+        old, new = patch
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(patched_config(**dict([patch])))
+        cfg.write_text(patched_config(**{old: new}))
         code = cli_main(["--config", str(cfg), "--out", str(tmp_path), "sweep"])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {cfg}: ")
