@@ -11,11 +11,11 @@ config hash and seed, artifact paths are relative to the output directory,
 and no wall-clock time enters any artifact, so reruns are byte-identical.
 """
 
-import io
 import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from importlib import resources
 from itertools import chain, product
 from pathlib import Path
@@ -41,6 +41,8 @@ from .errors import (
 )
 from .plant import PlantConfig, RampConfig
 from .servo import (
+    ERROR_MAP_MARGIN_HZ,
+    ERROR_MAP_STEP_HZ,
     Disturbances,
     LockConfig,
     PidConfig,
@@ -64,7 +66,7 @@ from .spectrum import (
     sha256_16,
     subdoppler_extrema,
     synthesize_sweep,
-    trace_to_csv,
+    write_trace_csv,
 )
 from .svgplot import render_line_plot
 
@@ -78,9 +80,10 @@ REPORT_FORMAT_VERSION = "sas-report/1"
 STANDARD_DEPTH_THRESHOLDS = {"doppler": 30.0, "hyperfine": 2.5, "crossover": 15.0}
 EXPERIMENTAL_DEPTHS_REFERENCE = {"doppler": 236.0, "hyperfine": 38.3, "crossover": 256.0}
 
-# Resource caps, checked before anything runs: a sweep's sample count and a
-# closed-loop run's step count (duration / dt). The bundled temperature step
-# takes 130,000 steps; a 262,144-sample sweep runs in a few seconds.
+# Resource caps, checked before anything runs: the sample count of a sweep
+# and of the error map behind every closed-loop run, and a closed-loop
+# run's step count (duration / dt). The bundled temperature step takes
+# 130,000 steps; a 262,144-sample sweep runs in a few seconds.
 MAX_SWEEP_SAMPLES = 2**22
 MAX_RUN_STEPS = 10**7
 
@@ -351,21 +354,29 @@ def validate_config(cfg: ScenarioConfig, source="<config>"):
         raise ConfigError(f"{source}: sweep bounds inverted: [{start}, {stop}]")
     if not 16 <= int(n) <= MAX_SWEEP_SAMPLES:
         raise ConfigError(f"{source}: sweep needs 16 to {MAX_SWEEP_SAMPLES} samples, got {n}")
+    map_samples = (cfg.ramp.span + 2 * ERROR_MAP_MARGIN_HZ) / ERROR_MAP_STEP_HZ
+    if map_samples > MAX_SWEEP_SAMPLES:
+        raise ConfigError(
+            f"{source}: ramp span_hz={cfg.ramp.span!r} needs an error map of "
+            f"{map_samples:.4g} samples, more than {MAX_SWEEP_SAMPLES}"
+        )
     if cfg.plant.k_ctrl == 0:
         raise ConfigError(f"{source}: plant k_ctrl must be nonzero")
     try:
         table = cfg.load_table()
-        for name in (
-            cfg.markers.hyperfine_feature,
-            cfg.markers.crossover_feature,
-            cfg.lock.target_feature,
-            cfg.ingest.feature_a,
-            cfg.ingest.feature_b,
-        ):
+        hyperfine = find_feature(table, cfg.markers.hyperfine_feature)
+        crossover = find_feature(table, cfg.markers.crossover_feature)
+        for name in (cfg.lock.target_feature, cfg.ingest.feature_a, cfg.ingest.feature_b):
             find_feature(table, name)
         manifold_window(table, cfg)
     except (LineDataError, UnknownFeatureError, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{source}: {exc}") from None
+    if hyperfine.is_crossover:
+        raise ConfigError(f"{source}: [markers] hyperfine_feature must name a direct line, "
+                          f"got {cfg.markers.hyperfine_feature!r}")
+    if not crossover.is_crossover:
+        raise ConfigError(f"{source}: [markers] crossover_feature must name a crossover, "
+                          f"got {cfg.markers.crossover_feature!r}")
 
 
 def manifold_window(table: LineTable, cfg: ScenarioConfig):
@@ -412,10 +423,18 @@ class ExperimentReport:
         return "\n".join(rows) + "\n"
 
 
-def _write_artifact(out_dir, name, text):
+def _write_artifact(out_dir, name, content):
+    """Write `content` to out_dir/name and return the name.
+
+    content is the text, or a function that writes it into the open file.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text, encoding="utf-8")
+    with open(out_dir / name, "w", encoding="utf-8") as f:
+        if callable(content):
+            content(f)
+        else:
+            f.write(content)
     return name
 
 
@@ -455,7 +474,7 @@ def run_sweep_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None) ->
     }
 
     artifacts = []
-    csv_name = _write_artifact(out_dir, "sweep_trace.csv", trace_to_csv(trace))
+    csv_name = _write_artifact(out_dir, "sweep_trace.csv", partial(write_trace_csv, trace))
     artifacts.append(csv_name)
 
     annotations = [
@@ -752,17 +771,9 @@ def _check_completed(log, criteria, measured):
     return not log.meta["aborted"]
 
 
-def _locklog_csv(log):
-    buf = io.StringIO()
-    write_locklog_csv(log, buf)
-    return buf.getvalue()
-
-
 def _write_locklog(log, out_dir, stem):
     """Write a run's time series as CSV and, unless it is empty, as SVG."""
-    # The CSV text is built in its own call so that its buffer is freed
-    # before the SVG is rendered; holding both raises peak memory.
-    artifacts = [_write_artifact(out_dir, f"{stem}.csv", _locklog_csv(log))]
+    artifacts = [_write_artifact(out_dir, f"{stem}.csv", partial(write_locklog_csv, log))]
     if len(log):
         svg = render_line_plot(
             log.t,

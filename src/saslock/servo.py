@@ -50,6 +50,11 @@ LOCKLOG_FORMAT_VERSION = "sas-locklog/1"
 # The derivative window is re-summed every step, so its length is capped.
 MAX_DERIVATIVE_SMOOTHING = 1024
 
+# The error map samples the ramp span plus this margin on each side at this
+# step, so its sample count grows with the span.
+ERROR_MAP_STEP_HZ = 0.5e6
+ERROR_MAP_MARGIN_HZ = 50e6
+
 PHASES = ("sweeping", "engaging", "locked", "lost")
 LEGAL_TRANSITIONS = {
     "sweeping": ("sweeping", "engaging"),
@@ -435,8 +440,8 @@ def resolve_thresholds(lock_cfg: LockConfig, lock_point: LockPoint, dip_fwhm_hz)
     )
 
 
-def build_error_map(table, medium, plant_cfg, ramp_cfg, lock_cfg, map_step_hz=0.5e6,
-                    margin_hz=50e6):
+def build_error_map(table, medium, plant_cfg, ramp_cfg, lock_cfg,
+                    map_step_hz=ERROR_MAP_STEP_HZ, margin_hz=ERROR_MAP_MARGIN_HZ):
     """Noise-free conditioned error vs detuning over the ramp-covered range."""
     lo = plant_cfg.base_detuning - ramp_cfg.span / 2.0 - margin_hz
     hi = plant_cfg.base_detuning + ramp_cfg.span / 2.0 + margin_hz

@@ -582,11 +582,9 @@ def error_signal(trace: SweepTrace, mode="differential", smoothing_window=1):
 # Time-series CSV export / import
 # ---------------------------------------------------------------------------
 
-# Rows are formatted this many at a time and written one by one. Larger
-# pieces on the heap keep a growing StringIO from extending in place: over
-# four `saslock all` runs in one process, peak RSS stayed at 144 MB, as
-# with formatting row by row, but reached 149 MB with 4096-row blocks and
-# 150 MB with 1024-row blocks written whole.
+# Rows are formatted this many at a time and written one by one, so the
+# formatted text held at once stays small whatever the row count; the
+# harness writes straight into the artifact file.
 _CSV_BLOCK = 256
 
 _TRACE_COLUMNS = ("detuning_hz", "reference_v", "probe_v", "differential_v")

@@ -4,6 +4,12 @@ Plots are a convenience for eyeballing runs; every assertion in the test
 suite runs on CSV/JSON data instead. The writer is hand-rolled so identical
 inputs produce byte-identical files (no library version drift, no
 timestamps).
+
+Each polyline is M4-decimated (Jugel et al., "M4: A Visualization-Oriented
+Time Series Data Aggregation", PVLDB 7(10), 2014): of the samples that fall
+in one pixel column it keeps the first, the last, the lowest and the
+highest, which draws the same picture at plot resolution. A polyline thus
+holds at most 4 x PLOT_COLUMNS vertices, whatever the sample count.
 """
 
 import numpy as np
@@ -13,6 +19,7 @@ from .errors import SweepError
 WIDTH, HEIGHT = 900, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+PLOT_COLUMNS = WIDTH - MARGIN_L - MARGIN_R
 
 
 def _fmt(x):
@@ -24,6 +31,28 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return out_lo + (np.asarray(values, dtype=float) - lo) * (out_hi - out_lo) / span
 
 
+def _column_runs(x_px):
+    """(start, stop) of each run of samples in one pixel column.
+
+    x_px must be non-decreasing, so each column's samples are contiguous.
+    """
+    column = np.clip(np.floor(x_px - MARGIN_L), 0, PLOT_COLUMNS - 1)
+    starts = np.flatnonzero(np.diff(column, prepend=-1.0)).tolist()
+    return list(zip(starts, starts[1:] + [len(x_px)]))
+
+
+def _m4(runs, y_px):
+    """Indices of the first, last, lowest and highest y_px of each run.
+
+    They come in sample order, each once.
+    """
+    keep = set()
+    for lo, hi in runs:
+        seg = y_px[lo:hi]
+        keep.update((lo, hi - 1, lo + int(seg.argmin()), lo + int(seg.argmax())))
+    return sorted(keep)
+
+
 def _polyline(x_px, y_px, color):
     pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(x_px, y_px))
     return f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{pts}"/>'
@@ -32,12 +61,14 @@ def _polyline(x_px, y_px, color):
 def render_line_plot(x, series, *, title, x_label, y_label, annotations=()):
     """Render labeled polylines as a standalone SVG string.
 
-    series: list of (name, y-array); annotations: list of (x, label) drawn
-    as vertical ticks.
+    x: the axis, non-decreasing; series: list of (name, y-array);
+    annotations: list of (x, label) drawn as vertical ticks.
     """
     x = np.asarray(x, dtype=float)
     if len(x) == 0 or not series:
         raise SweepError("nothing to plot")
+    if not np.all(x[1:] >= x[:-1]):
+        raise SweepError("plot axis is not non-decreasing")
     for _, y in series:
         if len(y) != len(x):
             raise SweepError("series length does not match the axis")
@@ -51,6 +82,7 @@ def render_line_plot(x, series, *, title, x_label, y_label, annotations=()):
     plot_l, plot_r = MARGIN_L, WIDTH - MARGIN_R
     plot_t, plot_b = MARGIN_T, HEIGHT - MARGIN_B
     x_px = _scale(x, x_lo, x_hi, plot_l, plot_r)
+    runs = _column_runs(x_px)
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -92,7 +124,8 @@ def render_line_plot(x, series, *, title, x_label, y_label, annotations=()):
     for i, (name, y) in enumerate(series):
         color = COLORS[i % len(COLORS)]
         y_px = _scale(y, y_lo, y_hi, plot_b, plot_t)
-        out.append(_polyline(x_px, y_px, color))
+        kept = _m4(runs, y_px)
+        out.append(_polyline(x_px[kept], y_px[kept], color))
         out.append(
             f'<text x="{plot_r - 8}" y="{plot_t + 16 + 16 * i}" text-anchor="end" '
             f'font-family="sans-serif" font-size="12" fill="{color}">{name}</text>'

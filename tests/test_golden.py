@@ -19,13 +19,13 @@ ARTIFACTS = {
     "fluorescence_report.json": "a0025ca485b4daaaffac3b8752a44c6abd7001d6da3e90eb0a852dd67d971913",
     "lock_report.json": "f2e4e8ddc4b50aa29e1a08b6cd68288b6c846286093544238185bbc9dec0c558",
     "lock_timeseries.csv": "88a61dd1fd19bcb392c5ff095dcac53fb902686cec108bc4139d53d48adc74c3",
-    "lock_timeseries.svg": "e6fa03fbf7dca9b09e0cb40ceb78463668c3b53f6a63fc30315fcd326a3626ec",
+    "lock_timeseries.svg": "735846e53d6f445692e99875afef29fd1e26a76a48932ed7ff3e2d71b9340851",
     "sweep_report.json": "f167e8ba7c96995a5ec085fee20933b02413606b7f4c729ee550cb813e4e4a45",
     "sweep_trace.csv": "61a5327f686f132df51b71db89d00363fe8563a36d41bd7680e8a7f1a43987f3",
-    "sweep_trace.svg": "258a570fe228e375f09b5e73cce247dc3a98bc1c6b4116f627dca6102d6d72ab",
+    "sweep_trace.svg": "3d7aa09bdf8db63154dc26d02a693768b986d419be8765edd8cea5814357f105",
     "temp_step_report.json": "4457ec823c16cfef2d5eab09ab1aa4f79eb639cf54a06f55af6c016f6ef20284",
     "temp_step_timeseries.csv": "63c94db13cc39c043871d45874fd950c4c4534438e966c21a07410c1a2e3c949",
-    "temp_step_timeseries.svg": "bd052eabdaeaafe016d089b44797fefd06385c6b7ca5b8ab9b72024318d8cb91",
+    "temp_step_timeseries.svg": "5a4ead7230ee4f2924b6913f8c0358034be066528cd727c07de57c7c6675c2e6",
 }
 
 

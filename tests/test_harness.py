@@ -100,6 +100,8 @@ class TestConfigParsing:
         ("dt_s=1.0e-4", "dt_s=1e-12"),
         ("temp_step_duration_s=13.0", "temp_step_duration_s=1001.0"),
         ("seed=20240917", "seed=-1"),
+        ("span_hz=3.0e9", "span_hz=1e20"),
+        ("span_hz=3.0e9", "span_hz=2.097053e12"),
     ])
     def test_out_of_range_value_rejected(self, patch):
         old, new = patch
@@ -110,10 +112,22 @@ class TestConfigParsing:
         ("samples=4096", f"samples={2**22}"),
         ("derivative_smoothing=5", "derivative_smoothing=1024"),
         ("temp_step_duration_s=13.0", "temp_step_duration_s=1000.0"),
+        # an error map of (span + 100 MHz) / 0.5 MHz = 2**22 samples
+        ("span_hz=3.0e9", "span_hz=2.097052e12"),
     ])
     def test_values_at_the_caps_accepted(self, patch):
         old, new = patch
         parse_config(patched_config(**{old: new}))
+
+    @pytest.mark.parametrize("patch", [
+        ("hyperfine_feature=Rb85:F3->F'=2", "hyperfine_feature=Rb85:F3->co(3,4)"),
+        ("crossover_feature=Rb87:F2->co(2,3)", "crossover_feature=Rb87:F2->F'=3"),
+    ])
+    def test_marker_feature_kind_checked(self, patch):
+        old, new = patch
+        key = new.partition("=")[0]
+        with pytest.raises(ConfigError, match=rf"^<string>: \[markers\] {key} must name a"):
+            parse_config(patched_config(**{old: new}))
 
     @settings(max_examples=100, deadline=None)
     @given(strategies.lists(
@@ -556,6 +570,9 @@ class TestCli:
         ("manifold=Rb87:F2", "manifold=Rb87:FF2"),
         ("samples=4096", "samples=100000000000"),
         ("dt_s=1.0e-4", "dt_s=1e-12"),
+        ("span_hz=3.0e9", "span_hz=1e20"),
+        ("hyperfine_feature=Rb85:F3->F'=2", "hyperfine_feature=Rb85:F3->co(3,4)"),
+        ("crossover_feature=Rb87:F2->co(2,3)", "crossover_feature=Rb87:F2->F'=3"),
     ])
     def test_bad_config_value_exit_two(self, patch, tmp_path, capsys):
         old, new = patch
