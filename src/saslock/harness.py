@@ -21,7 +21,6 @@ from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .atomic_data import (
     LineTable,
@@ -59,6 +58,7 @@ from .spectrum import (
     SweepTrace,
     depth_metrics,
     extract_markers,
+    find_peaks,
     isotope_doppler_fwhm,
     moving_average,
     moving_median,
@@ -86,6 +86,11 @@ EXPERIMENTAL_DEPTHS_REFERENCE = {"doppler": 236.0, "hyperfine": 38.3, "crossover
 # 130,000 steps; a 262,144-sample sweep runs in a few seconds.
 MAX_SWEEP_SAMPLES = 2**22
 MAX_RUN_STEPS = 10**7
+
+# Ingest calibration refuses to choose between the two valley orders when
+# their best scores differ by less than this fraction: rounding would then
+# decide the sign of the slope.
+CALIBRATION_MIN_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -900,7 +905,7 @@ def ingest_scope_csv(path, table: LineTable, ingest_cfg: IngestConfig,
         raise IngestError("calibration features must be distinct")
 
     nu_a = feat_a.detuning
-    t_a, t_b = _calibration_feature_times(
+    t_a, t_b, margin = _calibration_feature_times(
         time, probe, differential, table, nu_a, feat_b.detuning
     )
     if ingest_cfg.known_separation_hz:
@@ -926,6 +931,7 @@ def ingest_scope_csv(path, table: LineTable, ingest_cfg: IngestConfig,
             "feature_a": ingest_cfg.feature_a,
             "feature_b": ingest_cfg.feature_b,
             "slope_hz_per_unit": slope,
+            "order_margin": margin,
         },
     }
     return SweepTrace(detuning, reference, probe, differential, meta)
@@ -970,7 +976,9 @@ def _calibration_feature_times(time, probe, differential, table, nu_a, nu_b):
     Valleys can hold near-equal peaks (the repump crossovers differ by well
     under a percent in amplitude), so every candidate pair is scored by how
     close all detected peaks land to table features under that pair's
-    two-point axis, and the best-scoring pair wins.
+    two-point axis, and the best-scoring pair wins. Also returns the
+    relative margin between the best scores of the two valley orders, and
+    raises IngestError when it is below CALIBRATION_MIN_MARGIN.
     """
     n = len(time)
     regions = _valley_regions(time, probe)
@@ -994,22 +1002,33 @@ def _calibration_feature_times(time, probe, differential, table, nu_a, nu_b):
         for ln in manifold_features(table, iso, fg)
     }))
 
-    # Detuning may rise or fall with time, so feature_a may lie in either end
-    # valley: pairs are scored in both orders.
-    best = None
-    for ia, ib in [*product(first, last), *product(last, first)]:
-        if time[ib] == time[ia]:
-            continue
+    def score(ia, ib):
         slope = (nu_b - nu_a) / (time[ib] - time[ia])
         mapped = nu_a + (peak_times - time[ia]) * slope
-        misses = np.abs(mapped[:, None] - features[None, :]).min(axis=1)
-        score = float(misses.sum())
-        if best is None or score < best[0]:
-            best = (score, ia, ib)
-    if best is None:
+        return float(np.abs(mapped[:, None] - features[None, :]).min(axis=1).sum())
+
+    # Detuning may rise or fall with time, so feature_a may lie in either end
+    # valley: pairs are scored in both orders, and each order keeps its best.
+    # The second order holds the first's pairs reversed, so both or neither
+    # have one.
+    best = [
+        min(((score(ia, ib), ia, ib) for ia, ib in pairs if time[ib] != time[ia]),
+            key=lambda scored: scored[0], default=None)
+        for pairs in (product(first, last), product(last, first))
+    ]
+    if best[0] is None:
         raise IngestError("calibration candidates collapse to one point")
-    _, ia, ib = best
-    return float(time[ia]), float(time[ib])
+    (score_a, *_), (score_b, *_) = best
+    # Scores are sums of misses in Hz; the floor of 1 Hz per peak keeps two
+    # near-perfect fits from dividing rounding error by rounding error.
+    margin = abs(score_a - score_b) / max(score_a, score_b, float(len(peak_times)))
+    if margin < CALIBRATION_MIN_MARGIN:
+        raise IngestError(
+            f"calibration is ambiguous: both valley orders fit the peaks alike "
+            f"(scores {score_a!r} and {score_b!r} Hz, relative margin {margin:.3g})"
+        )
+    _, ia, ib = best[1] if score_b < score_a else best[0]
+    return float(time[ia]), float(time[ib]), margin
 
 
 def _top_peaks(signal, lo, hi, count, spacing):

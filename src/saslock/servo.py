@@ -137,6 +137,14 @@ def _pid_update(gains, state, error, dt):
     candidate = int_max if int_max < candidate else candidate
 
     raw = kp * error + candidate + kd * derivative + offset
+    if raw != raw:
+        # Finite inputs can overflow a term to inf (a jump of 1e300 over
+        # dt=1e-10), and kd = 0 times inf, or inf - inf, is NaN. Such a step
+        # drops the derivative term and, if the integral step is NaN too
+        # (ki = 0), keeps the integrator; the rest cannot be NaN.
+        if candidate != candidate:
+            candidate = integrator
+        raw = kp * error + candidate + offset
     control = out_min if out_min > raw else raw
     control = out_max if out_max < control else control
 

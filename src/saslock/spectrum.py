@@ -38,9 +38,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import median_filter
-from scipy.optimize import OptimizeWarning, curve_fit
-from scipy.signal import find_peaks
 
 from .atomic_data import LineTable, find_feature, manifold_features, transitions
 from .errors import (
@@ -316,6 +313,10 @@ def moving_median(y, window):
         return y.copy()
     if window % 2 == 0:
         raise ValueError(f"moving_median needs an odd window, got {window}")
+    # Imported on first use: scipy.ndimage takes about 0.4 s to load, which
+    # commands that take no running median should not pay.
+    from scipy.ndimage import median_filter
+
     out = median_filter(y, size=window, mode="nearest")
     out += 0.0
     return out
@@ -328,6 +329,89 @@ def moving_average(y, window):
     padded = np.pad(np.asarray(y, dtype=float), pad, mode="edge")
     kernel = np.ones(window) / window
     return np.convolve(padded, kernel, mode="valid")
+
+
+def find_peaks(x, height=None, distance=None, prominence=None):
+    """The subset of scipy.signal.find_peaks with scalar `height`, `distance`
+    (>= 1) and `prominence`, returning the same indices and `peak_heights`.
+
+    A peak is a run of equal samples higher than both its neighbours, at
+    the run's middle sample (rounded down); edge samples are never peaks.
+    The filters run in scipy's order: height, distance, prominence. Of two
+    peaks closer than `distance` samples the higher one stays, with ties
+    broken by walking np.argsort(heights) (default kind) from the end, as
+    scipy does. Prominence uses an unlimited window.
+    """
+    x = np.asarray(x, dtype=float)
+    # change[k] is the last sample of a run of equal values: the run after
+    # it, (change[k], change[k + 1]], is a peak if it rises into it and
+    # falls out of it.
+    change = np.flatnonzero(x[1:] != x[:-1])
+    rises = x[change] < x[change + 1]
+    falls = x[change + 1] < x[change]
+    top = rises[:-1] & falls[1:]
+    local_maxima = (change[:-1][top] + 1 + change[1:][top]) // 2
+
+    peaks = local_maxima
+    if height is not None:
+        peaks = peaks[height <= x[peaks]]
+    if distance is not None:
+        peaks = peaks[_keep_apart(peaks, x[peaks], math.ceil(distance))]
+    if prominence is not None and len(peaks):
+        peaks = peaks[prominence <= _prominences(x, peaks, local_maxima)]
+    return peaks, {"peak_heights": x[peaks]}
+
+
+def _keep_apart(peaks, heights, distance):
+    """Mask of the peaks that stay when, highest first, each kept peak drops
+    its neighbours closer than `distance` samples."""
+    keep = np.ones(len(peaks), dtype=bool)
+    lo = np.searchsorted(peaks, peaks - distance, side="right").tolist()
+    hi = np.searchsorted(peaks, peaks + distance).tolist()
+    for j in np.argsort(heights)[::-1].tolist():
+        if keep[j]:
+            keep[lo[j]:j] = False
+            keep[j + 1:hi[j]] = False
+    return keep
+
+
+def _prominences(x, peaks, local_maxima):
+    """Prominences of `peaks` (a subset of `local_maxima`) with no window.
+
+    On each side scipy walks from the peak to the nearest higher sample, or
+    the edge, and takes the lowest sample on the way as the base. Past that
+    higher sample the values rise or stay level up to a local maximum or
+    the edge, so walking to the nearest local maximum higher than the peak
+    finds the same base. Those local maxima are found for all peaks at once
+    by binary lifting over range maxima, and np.minimum.reduceat takes the
+    lowest samples.
+    """
+    h = x[peaks]
+    tops = local_maxima[x[local_maxima] >= h.min()]
+    n_tops = len(tops)
+    # levels[k][i] = max(x[tops[i:i + 2**k]])
+    levels = [x[tops]]
+    while 2 ** len(levels) <= n_tops:
+        span = 2 ** (len(levels) - 1)
+        levels.append(np.maximum(levels[-1][:-span], levels[-1][span:]))
+    # Grow [left, at) and (at, right) over tops no higher than the peak.
+    at = np.searchsorted(tops, peaks)
+    left, right = at.copy(), at + 1
+    for k in range(len(levels) - 1, -1, -1):
+        span = 2 ** k
+        grow = left >= span
+        grow[grow] = levels[k][left[grow] - span] <= h[grow]
+        left[grow] -= span
+        grow = right <= n_tops - span
+        grow[grow] = levels[k][right[grow]] <= h[grow]
+        right[grow] += span
+    lbase = np.where(left > 0, tops[left - 1], 0)
+    rbase = np.where(right < n_tops, tops[np.minimum(right, n_tops - 1)], len(x) - 1)
+    left_min = np.minimum.reduceat(x, np.column_stack([lbase, peaks]).ravel())[::2]
+    right_min = np.minimum(
+        np.minimum.reduceat(x, np.column_stack([peaks, rbase]).ravel())[::2], x[rbase]
+    )
+    return h - np.maximum(left_min, right_min)
 
 
 def _robust_sigma(residual):
@@ -529,6 +613,8 @@ def fit_lineshape(detuning, values, model="lorentzian", max_iterations=2000) -> 
         residual = y - offset
         return FitResult(model, 0.0, float(x[k]), width0, offset,
                          float(np.sqrt(np.mean(residual**2))))
+
+    from scipy.optimize import OptimizeWarning, curve_fit
 
     try:
         with warnings.catch_warnings():

@@ -406,6 +406,36 @@ class TestIngest:
         assert _top_peaks(signal, 0, 400, count=2, spacing=1) == [100, 106]
         assert _top_peaks(signal, 0, 400, count=2, spacing=31) == [100, 301]
 
+    def test_symmetric_export_is_ambiguous(self, table, default_cfg, tmp_path):
+        # Two mirror-image Doppler valleys with one saturation feature each:
+        # either valley order maps the two peaks onto the two calibration
+        # features equally well, so the slope's sign cannot be told.
+        k = np.arange(4096.0)
+        valleys = sum(0.5 * np.exp(-(((k - c) / 300) ** 2)) for c in (1024, 3071))
+        bumps = sum(0.05 * np.exp(-(((k - c) / 8) ** 2)) for c in (1024, 3071))
+        reference = 1.0 - valleys
+        probe = reference + bumps
+        path = tmp_path / "symmetric.csv"
+        path.write_text(
+            "time_s,reference_v,probe_v\n"
+            + "".join(f"{t!r},{r!r},{p!r}\n" for t, r, p in
+                      zip((k * 1e-5).tolist(), reference.tolist(), probe.tolist())),
+            encoding="utf-8",
+        )
+        icfg = replace(default_cfg.ingest, time_column="time_s")
+        with pytest.raises(IngestError, match="ambiguous.*relative margin 0"):
+            ingest_scope_csv(path, table, icfg)
+        # One more feature in the second valley breaks the tie.
+        extra = probe + 0.02 * np.exp(-(((k - 2900) / 8) ** 2))
+        path.write_text(
+            "time_s,reference_v,probe_v\n"
+            + "".join(f"{t!r},{r!r},{p!r}\n" for t, r, p in
+                      zip((k * 1e-5).tolist(), reference.tolist(), extra.tolist())),
+            encoding="utf-8",
+        )
+        got = ingest_scope_csv(path, table, icfg)
+        assert got.meta["calibration"]["order_margin"] > 0.01
+
     def test_missing_column_rejected(self, sweep_run, table, default_cfg):
         _, out = sweep_run
         icfg = replace(default_cfg.ingest, probe_column="nonexistent")

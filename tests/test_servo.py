@@ -150,10 +150,11 @@ def pid_configs(draw):
 
 
 class TestPidProperties:
-    """Properties of the control law over physical magnitudes.
+    """Properties of the control law.
 
-    Errors, gains and steps are bounded so that no term overflows; where
-    one does, the law can produce NaN (see CHANGES.md).
+    The rails hold for errors up to 1e300 and steps down to 1e-10, where the
+    derivative overflows. The reference agrees with the law where no term
+    overflows; past that the reference can produce NaN.
     """
 
     cases = dict(
@@ -162,13 +163,31 @@ class TestPidProperties:
         dt=strategies.floats(1e-7, 10.0),
     )
 
-    @settings(max_examples=100, deadline=None)
-    @given(**cases)
-    def test_output_inside_rails(self, cfg, errors, dt):
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cfg=pid_configs(),
+        errors=strategies.lists(bounded(1e300), min_size=1, max_size=40),
+        # Often the smallest step, which overflows the derivative, and kd = 0,
+        # which used to turn that overflow into NaN.
+        dt=strategies.just(1e-10) | strategies.floats(1e-10, 10.0),
+        no_kd=strategies.booleans(),
+    )
+    def test_output_inside_rails(self, cfg, errors, dt, no_kd):
+        if no_kd:
+            cfg = replace(cfg, kd=0.0)
         state = PidState()
         for error in errors:
             state, control = pid_step(cfg, state, error, dt)
             assert cfg.output_min <= control <= cfg.output_max
+
+    def test_overflowing_derivative_without_kd(self):
+        # kd = 0 times an infinite derivative used to make the output NaN.
+        cfg = PidConfig()
+        state, control = pid_step(cfg, PidState(), 1e300, 1e-10)
+        assert control == cfg.output_max
+        state, control = pid_step(cfg, state, -1e300, 1e-10)
+        assert control == cfg.output_min
+        assert state.integrator == 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(**cases)

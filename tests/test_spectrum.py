@@ -1,6 +1,10 @@
 """Sweep synthesis, marker extraction, depth metrics, fitting, error signals."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +24,11 @@ from saslock.spectrum import (
     MediumConfig,
     NoiseConfig,
     SweepTrace,
+    _prominences,
     depth_metrics,
     error_signal,
     extract_markers,
+    find_peaks,
     fit_lineshape,
     moving_median,
     read_trace_csv,
@@ -228,6 +234,79 @@ def test_moving_median_matches_per_sample_median(case):
 def test_moving_median_rejects_even_window():
     with pytest.raises(ValueError, match="odd"):
         moving_median(np.arange(9.0), 4)
+
+
+@strategies.composite
+def peak_cases(draw):
+    """A random walk rounded so that it has plateaus and ties, a height drawn
+    from its range, a prominence and a distance."""
+    rng = np.random.default_rng(draw(strategies.integers(0, 2**32 - 1)))
+    steps = rng.uniform(-1.0, 1.0, draw(strategies.integers(0, 300)))
+    walk = np.round(np.cumsum(steps), draw(strategies.integers(0, 1)))
+    if draw(strategies.booleans()):
+        walk = np.abs(walk)  # like the |signal| the call sites search
+    lo, hi = (float(walk.min()), float(walk.max())) if len(walk) else (0.0, 1.0)
+    height = lo + draw(strategies.floats(0.0, 1.0)) * (hi - lo)
+    return walk, height, draw(strategies.floats(0.0, 3.0)), draw(strategies.floats(1.0, 30.0))
+
+
+# The option sets of the call sites: subdoppler_extrema, _feature_extremum
+# and harness._top_peaks.
+PEAK_OPTIONS = [("height", "prominence"), ("height",), ("height", "distance")]
+
+
+@pytest.mark.parametrize("options", PEAK_OPTIONS)
+@settings(max_examples=300, deadline=None)
+@given(peak_cases())
+def test_find_peaks_matches_scipy(options, case):
+    from scipy.signal import find_peaks as scipy_find_peaks
+
+    walk, height, prominence, distance = case
+    kwargs = {k: v for k, v in
+              dict(height=height, prominence=prominence, distance=distance).items()
+              if k in options}
+    got, got_props = find_peaks(walk, **kwargs)
+    want, want_props = scipy_find_peaks(walk, **kwargs)
+    assert got.tolist() == want.tolist()
+    assert got_props["peak_heights"].tobytes() == want_props["peak_heights"].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(peak_cases())
+def test_prominences_match_scipy(case):
+    # The values themselves, not only which side of a threshold they fall.
+    from scipy.signal import peak_prominences
+
+    walk, height, _, _ = case
+    local_maxima, _ = find_peaks(walk)
+    peaks = local_maxima[walk[local_maxima] >= height]
+    if len(peaks):
+        got = _prominences(walk, peaks, local_maxima)
+        assert got.tobytes() == peak_prominences(walk, peaks)[0].tobytes()
+
+
+def test_find_peaks_plateaus_and_edges():
+    x = np.array([3.0, 1.0, 2.0, 2.0, 2.0, 2.0, 0.0, 5.0, 5.0])
+    peaks, props = find_peaks(x)
+    # The flat top's midpoint, rounded down; the edge plateau is no peak.
+    assert peaks.tolist() == [3]
+    assert props["peak_heights"].tolist() == [2.0]
+    assert find_peaks(x, prominence=1.0)[0].tolist() == [3]
+    assert find_peaks(x, prominence=1.0 + 1e-9)[0].tolist() == []
+
+
+def test_import_loads_no_scipy_subpackage():
+    # numpy is all that start-up needs; scipy.ndimage and scipy.optimize
+    # load in the functions that use them.
+    code = (
+        "import sys, saslock; saslock.harness.load_default_config(); import saslock.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.optimize', "
+        "'scipy.ndimage') if m in sys.modules))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 class TestDepthMetrics:
