@@ -313,8 +313,9 @@ def moving_median(y, window):
         return y.copy()
     if window % 2 == 0:
         raise ValueError(f"moving_median needs an odd window, got {window}")
-    # Imported on first use: scipy.ndimage takes about 0.4 s to load, which
-    # commands that take no running median should not pay.
+    # Imported on first use: scipy.ndimage takes about 0.4 s and 20 MB to
+    # load. Only `analyze`'s valley envelope pays it; the marker-B floor
+    # needs just the smallest median, which moving_median_min finds in numpy.
     from scipy.ndimage import median_filter
 
     out = median_filter(y, size=window, mode="nearest")
@@ -322,9 +323,42 @@ def moving_median(y, window):
     return out
 
 
+def moving_median_min(y, window):
+    """moving_median(y, window).min(), bit for bit, without the running median.
+
+    For an odd window of 2h + 1 samples, a window's median is <= v exactly
+    when more than h of its edge-padded samples are <= v. The smallest
+    median is therefore the smallest value v of y that some window holds
+    more than h samples at or below; bisection over the sorted distinct
+    values finds it, each probe one cumulative-sum count per window.
+    """
+    y = np.asarray(y, dtype=float)
+    if window <= 1:
+        return float(y.min())
+    if window % 2 == 0:
+        raise ValueError(f"moving_median_min needs an odd window, got {window}")
+    half = window // 2
+    values = np.unique(y)
+    padded = np.pad(y, half, mode="edge")
+    lo, hi = 0, len(values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        below = np.cumsum(padded <= values[mid], dtype=np.int32)
+        count = below[window - 1:]
+        count[1:] -= below[:-window]  # samples <= values[mid] in each window
+        if count.max() > half:
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(values[lo]) + 0.0
+
+
 def moving_average(y, window):
+    """Edge-padded moving mean over an odd window, same length as y."""
     if window <= 1:
         return np.asarray(y, dtype=float).copy()
+    if window % 2 == 0:
+        raise ValueError(f"moving_average needs an odd window, got {window}")
     pad = window // 2
     padded = np.pad(np.asarray(y, dtype=float), pad, mode="edge")
     kernel = np.ones(window) / window
@@ -533,10 +567,9 @@ def extract_markers(
         raise NoSubDopplerFeaturesError("window contains no saturation features")
 
     sl = trace.window_slice(lo, hi)
-    floor = moving_median(
+    b_level = moving_median_min(
         trace.probe[sl], odd_window(round(params.floor_median_window_hz / trace.step_hz()), 3)
     )
-    b_level = float(floor.min())
 
     c_line = find_feature(table, selection.hyperfine_feature)
     d_line = find_feature(table, selection.crossover_feature)
@@ -734,7 +767,10 @@ def read_trace_csv(text) -> SweepTrace:
         parts = line.split(",")
         if len(parts) != 4:
             raise SweepError(f"line {lineno}: expected 4 columns, got {len(parts)}")
-        rows.append([float(p) for p in parts])
+        row = [float(p) for p in parts]
+        if not all(map(math.isfinite, row)):
+            raise SweepError(f"line {lineno}: non-finite value in {line!r}")
+        rows.append(row)
     if meta.get("format") != TRACE_FORMAT_VERSION:
         raise SweepError(f"unsupported trace format {meta.get('format')!r}")
     if len(rows) < 2:

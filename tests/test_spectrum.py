@@ -1,5 +1,6 @@
 """Sweep synthesis, marker extraction, depth metrics, fitting, error signals."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -30,7 +31,9 @@ from saslock.spectrum import (
     extract_markers,
     find_peaks,
     fit_lineshape,
+    moving_average,
     moving_median,
+    moving_median_min,
     read_trace_csv,
     subdoppler_extrema,
     synthesize_sweep,
@@ -237,6 +240,55 @@ def test_moving_median_rejects_even_window():
 
 
 @strategies.composite
+def median_min_cases(draw):
+    # Mostly few distinct levels, signed zeros and infinities, so that
+    # windows are full of ties and the smallest median can be any of them.
+    levels = strategies.sampled_from([0.0, -0.0, 0.25, -0.25, 1.0, np.inf, -np.inf])
+    if draw(strategies.integers(0, 3)) == 0:
+        levels = strategies.one_of(levels, strategies.floats(allow_nan=False, width=64))
+    y = draw(strategies.lists(levels, min_size=1, max_size=draw(strategies.sampled_from([12, 120]))))
+    half = draw(strategies.one_of(
+        strategies.just(0),                              # window 1
+        strategies.integers(0, len(y) + 2),              # up to past the data
+        strategies.integers(len(y), 3 * len(y) + 2),     # wider than the data
+    ))
+    return np.asarray(y, dtype=float), 2 * half + 1
+
+
+@settings(max_examples=500, deadline=None)
+@given(median_min_cases())
+def test_moving_median_min_matches_moving_median(case):
+    y, window = case
+    got = moving_median_min(y, window)
+    want = moving_median(y, window).min()
+    assert type(got) is float
+    assert np.float64(got).tobytes() == want.tobytes()  # signed zeros included
+
+
+def test_moving_median_min_exhaustive_small():
+    # Every sequence of up to 6 samples over three levels, every odd window
+    # up to past the data: the corner cases a random draw can miss.
+    for n in range(1, 7):
+        for y in itertools.product([-0.0, 1.0, 2.0], repeat=n):
+            y = np.asarray(y)
+            for window in range(1, 2 * n + 2, 2):
+                got = moving_median_min(y, window)
+                assert np.float64(got).tobytes() == moving_median(y, window).min().tobytes()
+
+
+def test_moving_median_min_rejects_even_window():
+    with pytest.raises(ValueError, match="odd"):
+        moving_median_min(np.arange(9.0), 4)
+
+
+def test_moving_average_rejects_even_window():
+    # An even window used to give one sample too many.
+    with pytest.raises(ValueError, match="odd"):
+        moving_average(np.arange(10.0), 4)
+    assert len(moving_average(np.arange(10.0), 5)) == 10
+
+
+@strategies.composite
 def peak_cases(draw):
     """A random walk rounded so that it has plateaus and ties, a height drawn
     from its range, a prominence and a distance."""
@@ -295,18 +347,35 @@ def test_find_peaks_plateaus_and_edges():
     assert find_peaks(x, prominence=1.0 + 1e-9)[0].tolist() == []
 
 
-def test_import_loads_no_scipy_subpackage():
-    # numpy is all that start-up needs; scipy.ndimage and scipy.optimize
-    # load in the functions that use them.
-    code = (
-        "import sys, saslock; saslock.harness.load_default_config(); import saslock.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.optimize', "
-        "'scipy.ndimage') if m in sys.modules))"
-    )
+SCIPY_SUBPACKAGES = "('scipy.signal', 'scipy.stats', 'scipy.optimize', 'scipy.ndimage')"
+
+
+def scipy_subpackages_loaded_by(code):
+    """The scipy subpackages in sys.modules after `code` runs in a fresh
+    interpreter, as printed by it."""
+    code += f"; print(sorted(m for m in {SCIPY_SUBPACKAGES} if m in sys.modules))"
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy_subpackage():
+    # numpy is all that start-up needs; scipy.ndimage and scipy.optimize
+    # load in the functions that use them.
+    assert scipy_subpackages_loaded_by(
+        "import sys, saslock; saslock.harness.load_default_config(); import saslock.cli"
+    ) == "[]"
+
+
+def test_sweep_loads_no_scipy_subpackage(tmp_path):
+    # Marker B takes the smallest running median without computing the
+    # running median, so a sweep needs no scipy.ndimage.
+    assert scipy_subpackages_loaded_by(
+        "import sys; from saslock.cli import main; "
+        f"assert main(['--out', {str(tmp_path)!r}, 'sweep']) == 0"
+    ) == "[]"
+    assert (tmp_path / "sweep_report.json").is_file()
 
 
 class TestDepthMetrics:
@@ -462,6 +531,19 @@ class TestTraceCsv:
     def test_format_header_required(self):
         with pytest.raises(SweepError, match="format"):
             read_trace_csv("detuning_hz,reference_v,probe_v,differential_v\n0,1,1,0\n1,1,1,0\n")
+
+    @pytest.mark.parametrize("row, column", [(5, 2), (7, 1), (-1, 0)])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, row, column, value):
+        # The last axis value being inf used to pass the increasing check.
+        lines = trace_to_csv(synthesize_sweep(single_line_table(), MediumConfig(),
+                                              (-1e9, 1e9, 16))).splitlines()
+        cells = lines[row].split(",")
+        cells[column] = value
+        lines[row] = ",".join(cells)
+        lineno = row + 1 if row >= 0 else len(lines)
+        with pytest.raises(SweepError, match=f"line {lineno}: non-finite"):
+            read_trace_csv("\n".join(lines))
 
     def test_non_monotone_rejected(self, clean_trace):
         lines = trace_to_csv(clean_trace).splitlines()
