@@ -246,7 +246,8 @@ def median_min_cases(draw):
     levels = strategies.sampled_from([0.0, -0.0, 0.25, -0.25, 1.0, np.inf, -np.inf])
     if draw(strategies.integers(0, 3)) == 0:
         levels = strategies.one_of(levels, strategies.floats(allow_nan=False, width=64))
-    y = draw(strategies.lists(levels, min_size=1, max_size=draw(strategies.sampled_from([12, 120]))))
+    max_size = draw(strategies.sampled_from([12, 120]))
+    y = draw(strategies.lists(levels, min_size=1, max_size=max_size))
     half = draw(strategies.one_of(
         strategies.just(0),                              # window 1
         strategies.integers(0, len(y) + 2),              # up to past the data
@@ -255,7 +256,7 @@ def median_min_cases(draw):
     return np.asarray(y, dtype=float), 2 * half + 1
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(median_min_cases())
 def test_moving_median_min_matches_moving_median(case):
     y, window = case
@@ -276,16 +277,11 @@ def test_moving_median_min_exhaustive_small():
                 assert np.float64(got).tobytes() == moving_median(y, window).min().tobytes()
 
 
-def test_moving_median_min_rejects_even_window():
+@pytest.mark.parametrize("window_filter", [moving_median_min, moving_average])
+def test_window_filters_reject_even_window(window_filter):
+    # moving_average used to return one sample too many for an even window.
     with pytest.raises(ValueError, match="odd"):
-        moving_median_min(np.arange(9.0), 4)
-
-
-def test_moving_average_rejects_even_window():
-    # An even window used to give one sample too many.
-    with pytest.raises(ValueError, match="odd"):
-        moving_average(np.arange(10.0), 4)
-    assert len(moving_average(np.arange(10.0), 5)) == 10
+        window_filter(np.arange(10.0), 4)
 
 
 @strategies.composite
@@ -347,13 +343,11 @@ def test_find_peaks_plateaus_and_edges():
     assert find_peaks(x, prominence=1.0 + 1e-9)[0].tolist() == []
 
 
-SCIPY_SUBPACKAGES = "('scipy.signal', 'scipy.stats', 'scipy.optimize', 'scipy.ndimage')"
-
-
 def scipy_subpackages_loaded_by(code):
-    """The scipy subpackages in sys.modules after `code` runs in a fresh
-    interpreter, as printed by it."""
-    code += f"; print(sorted(m for m in {SCIPY_SUBPACKAGES} if m in sys.modules))"
+    """Which of four scipy subpackages are in sys.modules after `code`
+    (which imports sys) runs in a fresh interpreter, as a printed list."""
+    code += ("; print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.optimize', "
+             "'scipy.ndimage') if m in sys.modules))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
@@ -368,12 +362,13 @@ def test_import_loads_no_scipy_subpackage():
     ) == "[]"
 
 
-def test_sweep_loads_no_scipy_subpackage(tmp_path):
+@pytest.mark.parametrize("command", ["sweep", "all"])
+def test_command_loads_no_scipy_subpackage(command, tmp_path):
     # Marker B takes the smallest running median without computing the
-    # running median, so a sweep needs no scipy.ndimage.
+    # running median, so neither command needs scipy.ndimage.
     assert scipy_subpackages_loaded_by(
         "import sys; from saslock.cli import main; "
-        f"assert main(['--out', {str(tmp_path)!r}, 'sweep']) == 0"
+        f"assert main(['--out', {str(tmp_path)!r}, {command!r}]) == 0"
     ) == "[]"
     assert (tmp_path / "sweep_report.json").is_file()
 
