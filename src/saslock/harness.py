@@ -13,11 +13,10 @@ and no wall-clock time enters any artifact, so reruns are byte-identical.
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
 from importlib import resources
-from itertools import chain, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +62,7 @@ from .spectrum import (
     moving_average,
     moving_median,
     odd_window,
+    read_series_csv,
     sha256_16,
     subdoppler_extrema,
     synthesize_sweep,
@@ -262,15 +262,15 @@ _SCHEMA = {
 }
 
 _SECTION_BUILDERS = {
-    "medium": ("medium", MediumConfig),
-    "noise": ("noise", NoiseConfig),
-    "markers": ("markers", MarkerConfig),
-    "plant": ("plant", PlantConfig),
-    "ramp": ("ramp", RampConfig),
-    "pid": ("pid", PidConfig),
-    "lock": ("lock", LockConfig),
-    "run": ("run", RunConfig),
-    "ingest": ("ingest", IngestConfig),
+    "medium": MediumConfig,
+    "noise": NoiseConfig,
+    "markers": MarkerConfig,
+    "plant": PlantConfig,
+    "ramp": RampConfig,
+    "pid": PidConfig,
+    "lock": LockConfig,
+    "run": RunConfig,
+    "ingest": IngestConfig,
 }
 
 
@@ -323,10 +323,10 @@ def parse_config(text, source="<string>") -> ScenarioConfig:
             s.get("stop", defaults[1]),
             s.get("samples", defaults[2]),
         )
-    for section, (attr, ctor) in _SECTION_BUILDERS.items():
+    for section, ctor in _SECTION_BUILDERS.items():
         if section in sections:
             try:
-                kwargs[attr] = ctor(**sections[section])
+                kwargs[section] = ctor(**sections[section])
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"{source}: invalid [{section}] section: {exc}") from None
 
@@ -799,62 +799,6 @@ def _write_locklog(log, out_dir, stem):
 # ---------------------------------------------------------------------------
 
 
-def _parse_numeric_csv(path):
-    """Rows of finite floats from a generic CSV file; returns (header or None, array).
-
-    Blank lines and '#' comments, whole-line or trailing, are skipped. The
-    first remaining line is the header when it is not all numbers, and
-    np.loadtxt parses the rows after it straight from the file.
-    """
-    with open(path, encoding="utf-8") as f:
-        # np.loadtxt would read a line of blanks, or blanks before '#', as a row
-        content = (line for line in f if line.lstrip()[:1] not in ("", "#"))
-        first = next(content, "")
-        parts = [p.strip() for p in _body(first).split(",")]
-        try:
-            [float(p) for p in parts]
-            header, rows = None, chain([first], content)
-        except ValueError:
-            header, rows = parts, content
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                data = np.loadtxt(rows, delimiter=",", comments="#", ndmin=2)
-        except ValueError as exc:
-            raise _bad_row(path, header) or IngestError(f"{path}: {exc}") from None
-    if len(data) < 16:
-        raise IngestError(f"{path}: too few data rows ({len(data)})")
-    if not np.isfinite(data).all():
-        raise _bad_row(path, header) or IngestError(f"{path}: non-finite values")
-    return header, data
-
-
-def _body(line):
-    """A CSV line without its '#' comment and surrounding blanks."""
-    return line.split("#", 1)[0].strip()
-
-
-def _bad_row(path, header):
-    """IngestError naming the first data line of `path` that is not a row of
-    finite floats as wide as the first row, or None if every line is."""
-    with open(path, encoding="utf-8") as f:
-        lines = [(n, body) for n, body in enumerate(map(_body, f), start=1) if body]
-    width = None
-    for lineno, body in lines[header is not None:]:
-        try:
-            values = [float(p) for p in body.split(",")]
-        except ValueError:
-            return IngestError(f"{path}: line {lineno}: non-numeric row {body!r}")
-        width = width or len(values)
-        if len(values) != width:
-            return IngestError(
-                f"{path}: line {lineno}: ragged rows ({len(values)} values, first row {width})"
-            )
-        if not all(map(math.isfinite, values)):
-            return IngestError(f"{path}: line {lineno}: non-finite value in row {body!r}")
-    return None
-
-
 def _column(header, data, key, source):
     if key == "":
         return None
@@ -880,7 +824,13 @@ def ingest_scope_csv(path, table: LineTable, ingest_cfg: IngestConfig,
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"scope CSV not found: {path}")
-    header, data = _parse_numeric_csv(path)
+    try:
+        with open(path, encoding="utf-8") as f:
+            _, header, data = read_series_csv(f)
+    except ValueError as exc:
+        raise IngestError(f"{path}: {exc}") from None
+    if len(data) < 16:
+        raise IngestError(f"{path}: too few data rows ({len(data)})")
 
     time = _column(header, data, ingest_cfg.time_column, str(path))
     reference = _column(header, data, ingest_cfg.reference_column, str(path))

@@ -55,7 +55,6 @@ MAX_DERIVATIVE_SMOOTHING = 1024
 ERROR_MAP_STEP_HZ = 0.5e6
 ERROR_MAP_MARGIN_HZ = 50e6
 
-PHASES = ("sweeping", "engaging", "locked", "lost")
 LEGAL_TRANSITIONS = {
     "sweeping": ("sweeping", "engaging"),
     "engaging": ("engaging", "locked"),
@@ -180,15 +179,14 @@ class LockPoint:
     amplitude: float       # peak |conditioned error| of the feature, V
 
 
-def conditioned_error_curve(trace, mode, derivative_scale_hz, required_offset=0.0,
-                            smoothing_window=1):
+def conditioned_error_curve(trace, mode, derivative_scale_hz, required_offset=0.0):
     """Error signal in volts over a sweep trace.
 
     Differential mode adds the servo offset; derivative mode multiplies the
     finite-difference derivative by `derivative_scale_hz` so its magnitude is
     comparable to the differential's.
     """
-    raw = error_signal(trace, mode, smoothing_window)
+    raw = error_signal(trace, mode)
     if mode == "derivative":
         return raw * derivative_scale_hz
     return raw + required_offset

@@ -36,6 +36,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -745,37 +746,81 @@ def trace_to_csv(trace: SweepTrace) -> str:
     return buf.getvalue()
 
 
-def read_trace_csv(text) -> SweepTrace:
+def read_series_csv(fileobj):
+    """Read comma-separated float rows from a file object: (meta, header, rows).
+
+    Blank lines and '#' comments, whole-line or trailing, are skipped; each
+    whole-line `# key=value` comment goes into the dict `meta`. The first
+    remaining line is the header (a list of str), or None when it is all
+    numbers. np.loadtxt reads the rows into a 2-D float array. On a failure
+    the file is reread from the start to raise ValueError("line N: ...") for
+    the first row that is not numeric, as wide as the header (or the first
+    row) or finite.
+    """
     meta = {}
-    rows = []
-    header_seen = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        if not header_seen:
-            if line != ",".join(_TRACE_COLUMNS):
-                raise SweepError(f"line {lineno}: unexpected trace CSV header {line!r}")
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise SweepError(f"line {lineno}: expected 4 columns, got {len(parts)}")
-        row = [float(p) for p in parts]
-        if not all(map(math.isfinite, row)):
-            raise SweepError(f"line {lineno}: non-finite value in {line!r}")
-        rows.append(row)
+
+    def collect(line):
+        key, sep, value = line.strip()[1:].partition("=")
+        if sep:
+            meta[key.strip()] = value.strip()
+
+    # np.loadtxt would read a line of blanks, or blanks before '#', as a row;
+    # collect() runs only on those lines, and returns None to drop them.
+    lines = (line for line in fileobj if line.lstrip()[:1] not in ("", "#") or collect(line))
+    first = next(lines, "")
+    header = [cell.strip() for cell in _row_body(first).split(",")]
+    try:
+        [float(cell) for cell in header]
+        header, lines = None, chain([first], lines)
+    except ValueError:
+        pass
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            rows = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
+        if not np.isfinite(rows).all() or (header and len(rows) and rows.shape[1] != len(header)):
+            raise ValueError("non-finite values or rows not as wide as the header")
+    except ValueError as exc:
+        fileobj.seek(0)
+        raise ValueError(_bad_row(fileobj, header) or str(exc)) from None
+    return meta, header, rows
+
+
+def _row_body(line):
+    """A CSV line without its '#' comment and surrounding blanks."""
+    return line.split("#", 1)[0].strip()
+
+
+def _bad_row(lines, header):
+    """The "line N: ..." message for the first data line of `lines` that is not
+    a row of finite floats as wide as the header (or the first row), or None."""
+    bodies = [(n, body) for n, body in enumerate(map(_row_body, lines), start=1) if body]
+    width = header and len(header)
+    for lineno, body in bodies[header is not None:]:
+        try:
+            values = [float(cell) for cell in body.split(",")]
+        except ValueError:
+            return f"line {lineno}: non-numeric row {body!r}"
+        width = width or len(values)
+        if len(values) != width:
+            return f"line {lineno}: ragged rows ({len(values)} values, expected {width})"
+        if not all(map(math.isfinite, values)):
+            return f"line {lineno}: non-finite value in row {body!r}"
+    return None
+
+
+def read_trace_csv(text) -> SweepTrace:
+    """Parse sas-trace/1 CSV text, as `write_trace_csv` writes it."""
+    try:
+        meta, header, rows = read_series_csv(io.StringIO(text))
+    except ValueError as exc:
+        raise SweepError(str(exc)) from None
     if meta.get("format") != TRACE_FORMAT_VERSION:
         raise SweepError(f"unsupported trace format {meta.get('format')!r}")
+    if header != list(_TRACE_COLUMNS):
+        raise SweepError(f"unexpected trace CSV header {header}")
     if len(rows) < 2:
         raise SweepError("trace CSV holds fewer than 2 samples")
-    arr = np.asarray(rows)
-    if not np.all(np.diff(arr[:, 0]) > 0):
+    if not np.all(np.diff(rows[:, 0]) > 0):
         raise SweepError("trace CSV detuning axis not strictly increasing")
-    return SweepTrace(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], meta)
+    return SweepTrace(*rows.T, meta)

@@ -1,6 +1,7 @@
 """Scenario config validation, bench experiments, ingestion, plots, CLI."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,6 @@ from saslock.cli import main as cli_main
 from saslock.errors import ConfigError, IngestError, SweepError
 from saslock.harness import (
     IngestConfig,
-    _parse_numeric_csv,
     _top_peaks,
     default_config_path,
     ingest_scope_csv,
@@ -23,7 +23,13 @@ from saslock.harness import (
     run_sweep_experiment,
     run_temp_step_experiment,
 )
-from saslock.spectrum import NoiseConfig, extract_markers, synthesize_sweep
+from saslock.spectrum import (
+    NoiseConfig,
+    extract_markers,
+    read_series_csv,
+    read_trace_csv,
+    synthesize_sweep,
+)
 from saslock.svgplot import render_line_plot
 
 DEFAULT_TEXT = default_config_path().read_text(encoding="utf-8")
@@ -447,26 +453,37 @@ def numeric_rows(count, start=0):
     return "".join(f"{k * 0.5!r},{k + 1.0!r},{-k!r}\n" for k in range(start, start + count))
 
 
-def parse(tmp_path, text):
+def write_source(tmp_path, text):
     path = tmp_path / "src.csv"
     path.write_text(text, encoding="utf-8")
-    return _parse_numeric_csv(path)
+    return path
+
+
+def parse(tmp_path, text):
+    """(header, rows) of `text` as the scope reader returns them."""
+    with open(write_source(tmp_path, text), encoding="utf-8") as f:
+        _, header, rows = read_series_csv(f)
+    return header, rows
+
+
+def ingest(tmp_path, text, table, cfg):
+    return ingest_scope_csv(write_source(tmp_path, text), table, cfg.ingest)
 
 
 class TestScopeCsvParsing:
-    def test_non_numeric_row_names_its_line(self, tmp_path):
+    def test_non_numeric_row_names_its_line(self, tmp_path, table, default_cfg):
         text = "time_s,reference_v,probe_v\n" + numeric_rows(20) + "0.5,oops,1\n" + numeric_rows(3)
         with pytest.raises(IngestError, match=r"src\.csv: line 22\b"):
-            parse(tmp_path, text)
+            ingest(tmp_path, text, table, default_cfg)
 
-    def test_ragged_rows_rejected(self, tmp_path):
+    def test_ragged_rows_rejected(self, tmp_path, table, default_cfg):
         text = numeric_rows(10) + "1.0,2.0\n" + numeric_rows(10)
         with pytest.raises(IngestError, match=r"line 11: ragged"):
-            parse(tmp_path, text)
+            ingest(tmp_path, text, table, default_cfg)
 
-    def test_too_few_rows_rejected(self, tmp_path):
+    def test_too_few_rows_rejected(self, tmp_path, table, default_cfg):
         with pytest.raises(IngestError, match=r"too few data rows \(15\)"):
-            parse(tmp_path, "t,r,p\n" + numeric_rows(15))
+            ingest(tmp_path, "t,r,p\n" + numeric_rows(15), table, default_cfg)
 
     def test_header_comments_and_blank_lines(self, tmp_path):
         text = (
@@ -486,21 +503,81 @@ class TestScopeCsvParsing:
         assert list(data[8]) == [4.0, 9.0, -8.0]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
-    def test_non_finite_value_names_its_line(self, tmp_path, value):
+    def test_non_finite_value_names_its_line(self, tmp_path, table, default_cfg, value):
         text = "t,r,p\n# note\n" + numeric_rows(20) + f"1.0,{value},2.0\n" + numeric_rows(3)
         with pytest.raises(IngestError, match=r"src\.csv: line 23: non-finite"):
-            parse(tmp_path, text)
+            ingest(tmp_path, text, table, default_cfg)
 
-    def test_comments_only_rejected(self, tmp_path):
+    def test_comments_only_rejected(self, tmp_path, table, default_cfg):
         with pytest.raises(IngestError, match=r"too few data rows \(0\)"):
-            parse(tmp_path, "# nothing\n\n  # here\n")
+            ingest(tmp_path, "# nothing\n\n  # here\n", table, default_cfg)
         with pytest.raises(IngestError, match=r"too few data rows \(0\)"):
-            parse(tmp_path, "t,r,p\n# nothing\n")
+            ingest(tmp_path, "t,r,p\n# nothing\n", table, default_cfg)
 
     def test_headerless_rows(self, tmp_path):
         header, data = parse(tmp_path, numeric_rows(16))
         assert header is None
         assert data.shape == (16, 3)
+
+
+@strategies.composite
+def commented_trace_csvs(draw):
+    """sas-trace/1 text of random float rows with blank lines, '#' lines and
+    trailing comments mixed in; returns (lines, rows, line number of each row)."""
+    finite = strategies.floats(allow_nan=False, allow_infinity=False)
+    level = strategies.floats(min_value=0.0, allow_infinity=False)
+    axis = sorted(draw(strategies.lists(finite, min_size=2, max_size=24, unique=True)))
+    rows = [[x, draw(level), draw(level), draw(finite)] for x in axis]
+    noise = strategies.lists(strategies.sampled_from(["", "  ", "# note", "  #", " # a, b"]),
+                             max_size=2)
+    comment = strategies.sampled_from(["", " # trigger", "# x,1"])
+    lines = [*draw(noise), "# format=sas-trace/1", *draw(noise),
+             "detuning_hz,reference_v,probe_v,differential_v" + draw(comment)]
+    linenos = []
+    for row in rows:
+        lines += draw(noise)
+        lines.append(",".join(map(repr, row)) + draw(comment))
+        linenos.append(len(lines))
+    return lines, np.array(rows), linenos
+
+
+class TestSeriesCsvProperties:
+    """read_trace_csv and ingest_scope_csv read through the same reader."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(commented_trace_csvs())
+    def test_clean_rows_read_back_exactly(self, tmp_path, case):
+        lines, rows, _ = case
+        text = "\n".join(lines) + "\n"
+        trace = read_trace_csv(text)
+        assert np.column_stack([trace.detuning_axis, trace.reference, trace.probe,
+                                trace.differential]).tobytes() == rows.tobytes()
+        header, data = parse(tmp_path, text)
+        assert header == ["detuning_hz", "reference_v", "probe_v", "differential_v"]
+        assert data.tobytes() == rows.tobytes()
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(commented_trace_csvs(), strategies.data())
+    def test_corrupt_cell_names_its_line(self, tmp_path, table, default_cfg, case, data):
+        lines, rows, linenos = case
+        k = data.draw(strategies.integers(0, len(rows) - 1))
+        column = data.draw(strategies.integers(0, 3))
+        corruption = data.draw(strategies.sampled_from(["abc", "nan", "inf", None]))
+        body, sep, comment = lines[linenos[k] - 1].partition("#")
+        cells = body.strip().split(",")
+        if corruption is None:
+            del cells[column]
+        else:
+            cells[column] = corruption
+        lines[linenos[k] - 1] = ",".join(cells) + sep + comment
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(SweepError, match=f"^line {linenos[k]}: "):
+            read_trace_csv(text)
+        path = re.escape(str(tmp_path / "src.csv"))
+        with pytest.raises(IngestError, match=f"^{path}: line {linenos[k]}: "):
+            ingest(tmp_path, text, table, default_cfg)
 
 
 INGEST_ROWS = 8192

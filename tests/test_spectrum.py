@@ -528,16 +528,18 @@ class TestTraceCsv:
             read_trace_csv("detuning_hz,reference_v,probe_v,differential_v\n0,1,1,0\n1,1,1,0\n")
 
     @pytest.mark.parametrize("row, column", [(5, 2), (7, 1), (-1, 0)])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
     def test_non_finite_rejected(self, row, column, value):
-        # The last axis value being inf used to pass the increasing check.
+        # The last axis value being inf used to pass the increasing check,
+        # and "abc" used to escape as a ValueError naming no line.
         lines = trace_to_csv(synthesize_sweep(single_line_table(), MediumConfig(),
                                               (-1e9, 1e9, 16))).splitlines()
         cells = lines[row].split(",")
         cells[column] = value
         lines[row] = ",".join(cells)
         lineno = row + 1 if row >= 0 else len(lines)
-        with pytest.raises(SweepError, match=f"line {lineno}: non-finite"):
+        problem = "non-numeric" if value == "abc" else "non-finite"
+        with pytest.raises(SweepError, match=f"line {lineno}: {problem}"):
             read_trace_csv("\n".join(lines))
 
     def test_non_monotone_rejected(self, clean_trace):
