@@ -1,5 +1,6 @@
 """Sweep synthesis, marker extraction, depth metrics, fitting, error signals."""
 
+import io
 import itertools
 import os
 import subprocess
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
+from saslock import spectrum
+from saslock._reprcsv import csv_rows
 from saslock.atomic_data import Isotope, LineTable, TransitionLine, find_feature
 from saslock.errors import (
     FitConvergenceError,
@@ -18,6 +21,7 @@ from saslock.errors import (
     SweepError,
 )
 from saslock.harness import manifold_window
+from saslock.servo import TimeSeriesLog, write_locklog_csv
 from saslock.spectrum import (
     TRACE_FORMAT_VERSION,
     DepthMarkers,
@@ -38,6 +42,7 @@ from saslock.spectrum import (
     subdoppler_extrema,
     synthesize_sweep,
     trace_to_csv,
+    write_series_csv,
 )
 
 SWEEP = (-1.4e9, 2.4e9, 4096)
@@ -528,17 +533,19 @@ class TestTraceCsv:
             read_trace_csv("detuning_hz,reference_v,probe_v,differential_v\n0,1,1,0\n1,1,1,0\n")
 
     @pytest.mark.parametrize("row, column", [(5, 2), (7, 1), (-1, 0)])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc", "1_0", "\uff11"])
     def test_non_finite_rejected(self, row, column, value):
         # The last axis value being inf used to pass the increasing check,
-        # and "abc" used to escape as a ValueError naming no line.
+        # and "abc" used to escape as a ValueError naming no line. float()
+        # reads "1_0" and a full-width "1", but np.loadtxt does not, and the
+        # rescan must reject them too.
         lines = trace_to_csv(synthesize_sweep(single_line_table(), MediumConfig(),
                                               (-1e9, 1e9, 16))).splitlines()
         cells = lines[row].split(",")
         cells[column] = value
         lines[row] = ",".join(cells)
         lineno = row + 1 if row >= 0 else len(lines)
-        problem = "non-numeric" if value == "abc" else "non-finite"
+        problem = "non-finite" if value in ("nan", "inf", "-inf") else "non-numeric"
         with pytest.raises(SweepError, match=f"line {lineno}: {problem}"):
             read_trace_csv("\n".join(lines))
 
@@ -547,3 +554,94 @@ class TestTraceCsv:
         lines[10], lines[200] = lines[200], lines[10]
         with pytest.raises(SweepError, match="increasing"):
             read_trace_csv("\n".join(lines))
+
+
+def repr_series_csv(fmt, meta, keys, columns):
+    """The series-CSV writer before the vectorized kernel: repr per float."""
+    lines = [f"# format={fmt}", *(f"# {key}={meta.get(key)}" for key in keys), ",".join(columns)]
+    cells = [map(repr, np.asarray(col, dtype=float).tolist()) if isinstance(col, np.ndarray)
+             else col for col in columns.values()]
+    lines += [",".join(row) for row in zip(*cells)]
+    return "\n".join(lines) + "\n"
+
+
+def repr_lines(values):
+    return "".join(f"{v!r}\n" for v in values.tolist())
+
+
+def ulp_neighbours(values):
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+class TestReprCsv:
+    """csv_rows writes float64 values byte for byte as repr does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(strategies.lists(strategies.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_any_bit_pattern(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert csv_rows([values]) == repr_lines(values)
+
+    def test_edge_values(self):
+        powers = [2.0**k for k in range(-1074, 1024)]
+        assert len(powers) == 2098
+        subnormals = np.arange(1, 2**52, 2**52 // 997, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([
+            powers, np.negative(powers), subnormals, -subnormals,
+            # repr writes exponent form below 1e-4 and from 1e16 on
+            ulp_neighbours([1e-5, 1e-4, 1e15, 1e16, 1e17, 9999999999999998.0, 0.00012345]),
+            ulp_neighbours(EDGE_FLOATS), [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan],
+        ])
+        assert csv_rows([values]) == repr_lines(values)
+
+    def test_random_bit_patterns(self):
+        values = np.random.default_rng(9).integers(0, 2**64, 50_000, dtype=np.uint64,
+                                                   endpoint=False).view(np.float64)
+        assert csv_rows([values]) == repr_lines(values)
+
+
+class TestSeriesCsvWriter:
+    """write_series_csv gives the bytes of the repr writer it replaced."""
+
+    @staticmethod
+    def columns(rows):
+        rng = np.random.default_rng(rows)
+        edge = [5e-324, -5e-324, 1e-300, -1e300, 1e300, 0.0, -0.0, 2.2250738585072014e-308]
+        return {
+            "t_s": np.arange(rows) * 1e-5,
+            "edge": rng.choice(np.array(edge + EDGE_FLOATS), rows),
+            "noise": rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows),
+            "phase": [str(p) for p in rng.choice(["sweeping", "engaging", "locked", "lost"], rows)],
+            "bits": rng.integers(0, 2**64, rows, dtype=np.uint64, endpoint=False).view(np.float64),
+        }
+
+    BLOCK_ROWS = spectrum._CSV_BLOCK // 5        # rows per block of these five columns
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    def test_matches_repr_writer(self, rows):
+        columns = self.columns(rows)
+        meta = {"seed": 7, "dt": 1e-05}
+        buf = io.StringIO()
+        write_series_csv(buf, "sas-test/1", meta, ("seed", "dt", "absent"), columns)
+        assert buf.getvalue() == repr_series_csv("sas-test/1", meta, ("seed", "dt", "absent"),
+                                                 columns)
+
+    @pytest.mark.parametrize("cell", ["lock\u00e9d", "lo\0cked"])
+    def test_text_cells_must_be_ascii_without_nul(self, cell):
+        # NUL pads the cells in the row matrix, so a text cell cannot hold one.
+        columns = {"x": np.ones(3), "phase": ["locked", cell, "lost"]}
+        with pytest.raises(ValueError):
+            write_series_csv(io.StringIO(), "sas-test/1", {}, (), columns)
+
+    def test_zero_step_locklog_writes_header(self):
+        meta = {"seed": 3, "dt": 1e-05, "lock_point_hz": -1.5e8, "polarity": 1, "aborted": False}
+        log = TimeSeriesLog(*(np.zeros(0) for _ in range(5)), phase=[], meta=meta)
+        buf = io.StringIO()
+        write_locklog_csv(log, buf)
+        assert buf.getvalue() == (
+            "# format=sas-locklog/1\n# seed=3\n# dt=1e-05\n# lock_point_hz=-150000000.0\n"
+            "# polarity=1\n# aborted=False\n"
+            "t_s,detuning_hz,error_v,control_v,temperature_k,phase\n"
+        )
