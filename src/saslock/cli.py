@@ -16,7 +16,6 @@ from .harness import (
     load_config,
     load_default_config,
     manifold_window,
-    run_all,
     run_fluorescence_experiment,
     run_lock_experiment,
     run_sweep_experiment,
@@ -30,6 +29,14 @@ EXIT_CONFIG = 2
 EXIT_RUN = 3
 
 CONFIG_DIR_ENV = "SASLOCK_CONFIG_DIR"
+
+# The experiments by sub-command, in the order `all` runs them.
+_RUNNERS = {
+    "sweep": run_sweep_experiment,
+    "lock": run_lock_experiment,
+    "temp-step": run_temp_step_experiment,
+    "fluorescence": run_fluorescence_experiment,
+}
 
 
 def _resolve_config(path_arg):
@@ -61,19 +68,11 @@ def build_parser():
         "--format", choices=("json", "csv"), default="json", help="report file format"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("sweep", "lock", "temp-step", "fluorescence", "all"):
+    for name in (*_RUNNERS, "all"):
         sub.add_parser(name)
     analyze = sub.add_parser("analyze", help="calibrate and analyze a scope CSV export")
     analyze.add_argument("csv_path")
     return parser
-
-
-_RUNNERS = {
-    "sweep": run_sweep_experiment,
-    "lock": run_lock_experiment,
-    "temp-step": run_temp_step_experiment,
-    "fluorescence": run_fluorescence_experiment,
-}
 
 
 def _analyze(cfg, args):
@@ -101,11 +100,9 @@ def main(argv=None):
         cfg = _resolve_config(args.config)
         if args.command == "analyze":
             return _analyze(cfg, args)
-        out = Path(args.out)
-        if args.command == "all":
-            reports = run_all(cfg, out, args.format, args.seed)
-        else:
-            reports = [_RUNNERS[args.command](cfg, out, args.format, args.seed)]
+        names = _RUNNERS if args.command == "all" else [args.command]
+        reports = [_RUNNERS[name](cfg, Path(args.out), args.format, args.seed)
+                   for name in names]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

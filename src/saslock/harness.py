@@ -50,7 +50,6 @@ from .servo import (
 )
 from .spectrum import (
     TRACE_FORMAT_VERSION,
-    MarkerParams,
     MarkerSelection,
     MediumConfig,
     NoiseConfig,
@@ -122,6 +121,11 @@ class RunConfig:
         for name in ("lock_duration_s", "temp_step_duration_s", "fluor_duration_s"):
             if getattr(self, name) / self.dt_s > MAX_RUN_STEPS:
                 raise ValueError(f"{name} / dt_s exceeds {MAX_RUN_STEPS} steps")
+        # The step must fall on a logged time: the response is measured after it.
+        t_last = (round(self.temp_step_duration_s / self.dt_s) - 1) * self.dt_s
+        if not 0 < self.temp_step_time_s <= t_last:
+            raise ValueError(f"temp_step_time_s must be in (0, {t_last!r}], the last logged "
+                             f"time of the run, got {self.temp_step_time_s!r}")
 
 
 @dataclass(frozen=True)
@@ -757,15 +761,6 @@ def run_fluorescence_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=N
     return _finalize(out_dir, fmt, "fluorescence", cfg, seed, criteria, measured, [])
 
 
-def run_all(cfg: ScenarioConfig, out_dir, fmt="json", seed=None):
-    return [
-        run_sweep_experiment(cfg, out_dir, fmt, seed),
-        run_lock_experiment(cfg, out_dir, fmt, seed),
-        run_temp_step_experiment(cfg, out_dir, fmt, seed),
-        run_fluorescence_experiment(cfg, out_dir, fmt, seed),
-    ]
-
-
 def _check_completed(log, criteria, measured):
     """Fail a report whose closed-loop run aborted, recording why it stopped."""
     if log.meta["aborted"]:
@@ -803,16 +798,20 @@ def _column(header, data, key, source):
     if key == "":
         return None
     try:
-        return data[:, int(key)]
+        index = int(key)
     except ValueError:
         pass
+    else:
+        if not 0 <= index < data.shape[1]:
+            raise IngestError(f"{source}: column {key!r} not found "
+                              f"(the file has {data.shape[1]} columns)")
+        return data[:, index]
     if header is None or key not in header:
         raise IngestError(f"{source}: column {key!r} not found (header: {header})")
     return data[:, header.index(key)]
 
 
-def ingest_scope_csv(path, table: LineTable, ingest_cfg: IngestConfig,
-                     params: MarkerParams = MarkerParams()) -> SweepTrace:
+def ingest_scope_csv(path, table: LineTable, ingest_cfg: IngestConfig) -> SweepTrace:
     """Calibrate an oscilloscope export into a detuning-domain SweepTrace.
 
     The horizontal axis (time or anything monotone) is mapped to detuning by
@@ -922,13 +921,14 @@ def _valley_regions(time, probe):
 def _calibration_feature_times(time, probe, differential, table, nu_a, nu_b):
     """Times of the two calibration features (at detunings nu_a, nu_b).
 
-    Candidate saturation peaks come from the first and last Doppler valley.
-    Valleys can hold near-equal peaks (the repump crossovers differ by well
-    under a percent in amplitude), so every candidate pair is scored by how
-    close all detected peaks land to table features under that pair's
-    two-point axis, and the best-scoring pair wins. Also returns the
-    relative margin between the best scores of the two valley orders, and
-    raises IngestError when it is below CALIBRATION_MIN_MARGIN.
+    The candidates are the four highest saturation peaks of the first and
+    last Doppler valley. Valleys can hold near-equal peaks (the repump
+    crossovers differ by well under a percent in amplitude), so every
+    candidate pair is scored by how close the six highest peaks of every
+    valley land to table features under that pair's two-point axis, and the
+    best-scoring pair wins. Also returns the relative margin between the
+    best scores of the two valley orders, and raises IngestError when it is
+    below CALIBRATION_MIN_MARGIN.
     """
     n = len(time)
     regions = _valley_regions(time, probe)
@@ -939,11 +939,9 @@ def _calibration_feature_times(time, probe, differential, table, nu_a, nu_b):
     # than the smoothing window count as one feature.
     window = odd_window(n // 512, 3)
     sub = np.abs(moving_average(differential, window))
-    first = _top_peaks(sub, *regions[0], count=4, spacing=window)
-    last = _top_peaks(sub, *regions[-1], count=4, spacing=window)
-    all_peaks = sorted({
-        k for lo, hi in regions for k in _top_peaks(sub, lo, hi, count=6, spacing=window)
-    })
+    tops = [_top_peaks(sub, lo, hi, spacing=window) for lo, hi in regions]
+    first, last = tops[0][:4], tops[-1][:4]
+    all_peaks = sorted({k for peaks in tops for k in peaks})
     peak_times = time[np.asarray(all_peaks, dtype=int)]
 
     features = np.asarray(sorted({
@@ -981,8 +979,8 @@ def _calibration_feature_times(time, probe, differential, table, nu_a, nu_b):
     return float(time[ia]), float(time[ib]), margin
 
 
-def _top_peaks(signal, lo, hi, count, spacing):
-    """Indices of the `count` highest peaks of signal[lo:hi], highest first.
+def _top_peaks(signal, lo, hi, spacing):
+    """Indices of the 6 highest peaks of signal[lo:hi], highest first.
 
     Of two peaks closer than `spacing` samples only the higher one counts.
     """
@@ -990,5 +988,5 @@ def _top_peaks(signal, lo, hi, count, spacing):
     peaks, props = find_peaks(seg, height=0.05 * float(seg.max()), distance=spacing)
     if len(peaks) == 0:
         raise IngestError("calibration valley holds no saturation features")
-    order = np.argsort(props["peak_heights"])[::-1][:count]
+    order = np.argsort(props["peak_heights"])[::-1][:6]
     return [lo + int(peaks[i]) for i in order]

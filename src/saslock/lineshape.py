@@ -28,7 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CODATA, PhysicalConstants
+# The exact 2019 SI values, pinned here rather than taken from scipy so the
+# output cannot drift with library updates.
+BOLTZMANN = 1.380649e-23      # J/K
+SPEED_OF_LIGHT = 299792458.0  # m/s
 
 _TWO_SQRT_LN2 = 2.0 * math.sqrt(math.log(2.0))
 
@@ -81,7 +84,7 @@ def doppler_gaussian(nu, p: GaussianParams):
     return float(out) if np.isscalar(nu) else out
 
 
-def doppler_fwhm(temperature, mass, nu0_abs, c: PhysicalConstants = CODATA):
+def doppler_fwhm(temperature, mass, nu0_abs):
     """Doppler FWHM (Hz) of a line at absolute frequency nu0_abs.
 
         dnuD = 2 sqrt(2 kB T ln2 / (m c^2)) * nu0
@@ -96,7 +99,7 @@ def doppler_fwhm(temperature, mass, nu0_abs, c: PhysicalConstants = CODATA):
         raise ValueError(f"nu0_abs must be > 0, got {nu0_abs}")
     return (
         2.0
-        * math.sqrt(2.0 * c.boltzmann * temperature * math.log(2.0) / (mass * c.speed_of_light**2))
+        * math.sqrt(2.0 * BOLTZMANN * temperature * math.log(2.0) / (mass * SPEED_OF_LIGHT**2))
         * nu0_abs
     )
 

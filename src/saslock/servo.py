@@ -55,6 +55,10 @@ MAX_DERIVATIVE_SMOOTHING = 1024
 ERROR_MAP_STEP_HZ = 0.5e6
 ERROR_MAP_MARGIN_HZ = 50e6
 
+# A lock point's zero crossing must be at least this steep, as a fraction of
+# the feature's error amplitude over the derivative scale.
+MIN_SLOPE_FRAC = 0.02
+
 LEGAL_TRANSITIONS = {
     "sweeping": ("sweeping", "engaging"),
     "engaging": ("engaging", "locked"),
@@ -173,7 +177,6 @@ def pid_step(cfg: PidConfig, st: PidState, error, dt):
 @dataclass(frozen=True)
 class LockPoint:
     detuning: float        # Hz where the conditioned error crosses zero
-    slope_sign: int        # sign of d(error)/d(detuning) at the crossing
     slope: float           # V/Hz at the crossing
     required_offset: float  # V added to the raw error signal
     amplitude: float       # peak |conditioned error| of the feature, V
@@ -193,7 +196,7 @@ def conditioned_error_curve(trace, mode, derivative_scale_hz, required_offset=0.
 
 
 def find_lock_point(trace, table, target_feature, mode="derivative",
-                    derivative_scale_hz=None, min_slope_frac=0.02) -> LockPoint:
+                    derivative_scale_hz=None) -> LockPoint:
     """Locate the zero crossing of the conditioned error on a named feature.
 
     Derivative mode locks to the feature's center (the derivative of a
@@ -249,7 +252,7 @@ def find_lock_point(trace, table, target_feature, mode="derivative",
             x0 = x[i] + frac * (x[i + 1] - x[i])
             slope = (y[i + 1] - y[i]) / (x[i + 1] - x[i])
             crossings.append((x0, slope))
-    min_slope = min_slope_frac * amplitude / derivative_scale_hz
+    min_slope = MIN_SLOPE_FRAC * amplitude / derivative_scale_hz
     crossings = [(x0, sl_) for x0, sl_ in crossings if abs(sl_) >= min_slope]
     if not crossings:
         raise UnlockableError(
@@ -258,7 +261,6 @@ def find_lock_point(trace, table, target_feature, mode="derivative",
     x0, slope = min(crossings, key=lambda c: abs(c[0] - feature.detuning))
     return LockPoint(
         detuning=float(x0),
-        slope_sign=int(math.copysign(1.0, slope)),
         slope=float(slope),
         required_offset=float(required_offset),
         amplitude=amplitude,
@@ -446,12 +448,11 @@ def resolve_thresholds(lock_cfg: LockConfig, lock_point: LockPoint, dip_fwhm_hz)
     )
 
 
-def build_error_map(table, medium, plant_cfg, ramp_cfg, lock_cfg,
-                    map_step_hz=ERROR_MAP_STEP_HZ, margin_hz=ERROR_MAP_MARGIN_HZ):
+def build_error_map(table, medium, plant_cfg, ramp_cfg, lock_cfg):
     """Noise-free conditioned error vs detuning over the ramp-covered range."""
-    lo = plant_cfg.base_detuning - ramp_cfg.span / 2.0 - margin_hz
-    hi = plant_cfg.base_detuning + ramp_cfg.span / 2.0 + margin_hz
-    n = max(64, int((hi - lo) / map_step_hz))
+    lo = plant_cfg.base_detuning - ramp_cfg.span / 2.0 - ERROR_MAP_MARGIN_HZ
+    hi = plant_cfg.base_detuning + ramp_cfg.span / 2.0 + ERROR_MAP_MARGIN_HZ
+    n = max(64, int((hi - lo) / ERROR_MAP_STEP_HZ))
     trace = synthesize_sweep(table, medium, (lo, hi, n), NoiseConfig(enabled=False))
 
     feature = find_feature(table, lock_cfg.target_feature)

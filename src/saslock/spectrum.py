@@ -40,7 +40,6 @@ from itertools import chain
 
 import numpy as np
 
-from ._reprcsv import csv_rows
 from .atomic_data import LineTable, find_feature, manifold_features, transitions
 from .errors import (
     FitConvergenceError,
@@ -168,15 +167,12 @@ class MarkerSelection:
     crossover_feature: str = "Rb87:F2->co(2,3)"
 
 
-@dataclass(frozen=True)
-class MarkerParams:
-    """Length scales (Hz) for marker extraction; defaults suit the D2 table."""
-
-    floor_median_window_hz: float = 52.5e6   # ~5x broadened dip FWHM
-    extremum_smooth_hz: float = 3.0e6        # light smoothing for C/D readout
-    search_radius_hz: float = 12.0e6         # extremum search around a feature
-    doppler_margin_fwhm: float = 1.25        # manifold window margin, units of Doppler FWHM
-    min_prominence_v: float = 1.0e-3         # absolute feature-detection floor
+# Scales of marker extraction, chosen for the D2 table.
+FLOOR_MEDIAN_WINDOW_HZ = 52.5e6  # ~5x broadened dip FWHM
+EXTREMUM_SMOOTH_HZ = 3.0e6       # light smoothing for C/D readout
+SEARCH_RADIUS_HZ = 12.0e6        # extremum search around a feature
+DOPPLER_MARGIN_FWHM = 1.25       # manifold window margin, units of Doppler FWHM
+MIN_PROMINENCE_V = 1.0e-3        # absolute feature-detection floor
 
 
 def isotope_doppler_fwhm(table, medium, isotope):
@@ -455,54 +451,52 @@ def _robust_sigma(residual):
     return 1.4826 * mad
 
 
-def _elevation(trace, sl, params):
+def _elevation(trace, sl):
     """Smoothed differential (the sub-Doppler signal) and a noise threshold.
 
     The differential channel is zero away from saturation features, making
     it the natural detection domain: no Doppler-floor estimate is needed
     and sloped envelopes cannot bias weak features away.
     """
-    nsm = odd_window(round(params.extremum_smooth_hz / trace.step_hz()), 3)
+    nsm = odd_window(round(EXTREMUM_SMOOTH_HZ / trace.step_hz()), 3)
     smooth_diff = moving_average(trace.differential[sl], nsm)
     sigma = _robust_sigma(trace.differential[sl] - moving_average(trace.differential[sl], 5))
-    threshold = max(params.min_prominence_v, 5.0 * sigma / math.sqrt(nsm))
+    threshold = max(MIN_PROMINENCE_V, 5.0 * sigma / math.sqrt(nsm))
     return smooth_diff, threshold
 
 
-def subdoppler_extrema(trace: SweepTrace, window_hz, params: MarkerParams = MarkerParams()):
+def subdoppler_extrema(trace: SweepTrace, window_hz):
     """Indices of saturation features in a detuning window.
 
     Features are peaks of |smoothed differential| clearing
-    max(min_prominence_v, noise-scaled threshold) in height and prominence.
+    max(MIN_PROMINENCE_V, noise-scaled threshold) in height and prominence.
     """
     lo, hi = window_hz
-    pad = 2.0 * params.search_radius_hz
+    pad = 2.0 * SEARCH_RADIUS_HZ
     sl = trace.window_slice(lo - pad, hi + pad)
     if sl.stop - sl.start < 8:
         raise SweepError("marker window contains too few samples")
-    elev, threshold = _elevation(trace, sl, params)
+    elev, threshold = _elevation(trace, sl)
     peaks, _ = find_peaks(np.abs(elev), prominence=threshold, height=threshold)
     axis = trace.detuning_axis[sl]
     peaks = peaks[(axis[peaks] >= lo) & (axis[peaks] <= hi)]
     return peaks + sl.start
 
 
-def _feature_extremum(trace, detuning, params):
+def _feature_extremum(trace, detuning):
     """Smoothed probe level at the feature extremum nearest `detuning`.
 
     Features may poke above or below the Doppler floor (synthetic traces can
     carry either sign), so peaks of |differential| are searched; the one
     closest to the nominal detuning wins and the probe level is read there.
     """
-    pad = 3.0 * params.search_radius_hz
+    pad = 3.0 * SEARCH_RADIUS_HZ
     sl = trace.window_slice(detuning - pad, detuning + pad)
     if sl.stop - sl.start < 5:
         raise SweepError(f"feature at {detuning / 1e6:.1f} MHz outside trace span")
-    elev, threshold = _elevation(trace, sl, params)
+    elev, threshold = _elevation(trace, sl)
     axis = trace.detuning_axis[sl]
-    inner = (axis >= detuning - params.search_radius_hz) & (
-        axis <= detuning + params.search_radius_hz
-    )
+    inner = (axis >= detuning - SEARCH_RADIUS_HZ) & (axis <= detuning + SEARCH_RADIUS_HZ)
     # Height only: a strong neighbor's tail can eat a weak feature's
     # prominence without hiding its local maximum.
     peaks, _ = find_peaks(np.abs(elev), height=threshold)
@@ -515,12 +509,12 @@ def _feature_extremum(trace, detuning, params):
         )
     k = peaks[np.argmin(np.abs(axis[peaks] - detuning))]
     smooth_probe = moving_average(
-        trace.probe[sl], odd_window(round(params.extremum_smooth_hz / trace.step_hz()), 3)
+        trace.probe[sl], odd_window(round(EXTREMUM_SMOOTH_HZ / trace.step_hz()), 3)
     )
     return float(smooth_probe[k]), sl.start + int(k)
 
 
-def doppler_windows(table: LineTable, medium: MediumConfig, margin_fwhm=1.25):
+def doppler_windows(table: LineTable, medium: MediumConfig, margin_fwhm):
     """(lo, hi) detuning intervals covered by each manifold's Doppler envelope."""
     out = []
     for isotope, f_ground in table.manifolds():
@@ -541,7 +535,6 @@ def extract_markers(
     selection: MarkerSelection,
     table: LineTable,
     medium: MediumConfig,
-    params: MarkerParams = MarkerParams(),
 ) -> DepthMarkers:
     """Read the A/B/C/D voltage levels off a sweep trace.
 
@@ -559,18 +552,18 @@ def extract_markers(
         raise SweepError("marker window outside trace span")
 
     outside = np.ones(len(axis), dtype=bool)
-    for wlo, whi in doppler_windows(table, medium, params.doppler_margin_fwhm):
+    for wlo, whi in doppler_windows(table, medium, DOPPLER_MARGIN_FWHM):
         outside &= ~((axis >= wlo) & (axis <= whi))
     if not outside.any():
         raise SweepError("no off-resonance samples for baseline A; widen the sweep")
     a_level = float(np.median(trace.probe[outside]))
 
-    if len(subdoppler_extrema(trace, manifold_window, params)) == 0:
+    if len(subdoppler_extrema(trace, manifold_window)) == 0:
         raise NoSubDopplerFeaturesError("window contains no saturation features")
 
     sl = trace.window_slice(lo, hi)
     b_level = moving_median_min(
-        trace.probe[sl], odd_window(round(params.floor_median_window_hz / trace.step_hz()), 3)
+        trace.probe[sl], odd_window(round(FLOOR_MEDIAN_WINDOW_HZ / trace.step_hz()), 3)
     )
 
     c_line = find_feature(table, selection.hyperfine_feature)
@@ -580,8 +573,8 @@ def extract_markers(
             "selection must name a direct line for C and a crossover for D; got "
             f"{selection.hyperfine_feature!r} / {selection.crossover_feature!r}"
         )
-    c_level, _ = _feature_extremum(trace, c_line.detuning, params)
-    d_level, _ = _feature_extremum(trace, d_line.detuning, params)
+    c_level, _ = _feature_extremum(trace, c_line.detuning)
+    d_level, _ = _feature_extremum(trace, d_line.detuning)
     return DepthMarkers(A=a_level, B=b_level, C=c_level, D=d_level)
 
 
@@ -676,24 +669,19 @@ def fit_lineshape(detuning, values, model="lorentzian", max_iterations=2000) -> 
 # ---------------------------------------------------------------------------
 
 
-def error_signal(trace: SweepTrace, mode="differential", smoothing_window=1):
+def error_signal(trace: SweepTrace, mode="differential"):
     """Conditioned error signal over the sweep.
 
     ``differential`` returns the differential channel unchanged.
     ``derivative`` returns the centered finite-difference derivative of the
-    moving-average-smoothed differential with respect to detuning, edges
-    replicated, same length as the trace.
+    differential with respect to detuning, edges replicated, same length as
+    the trace.
     """
-    if smoothing_window < 1 or smoothing_window % 2 == 0 or smoothing_window >= len(trace):
-        raise ValueError(
-            f"smoothing_window must be odd, >= 1 and < trace length; got {smoothing_window}"
-        )
     if mode == "differential":
         return trace.differential.copy()
     if mode != "derivative":
         raise ValueError(f"unknown error-signal mode {mode!r}")
-    smooth = moving_average(trace.differential, smoothing_window)
-    deriv = np.gradient(smooth, trace.detuning_axis)
+    deriv = np.gradient(trace.differential, trace.detuning_axis)
     deriv[0] = deriv[1]
     deriv[-1] = deriv[-2]
     return deriv
@@ -722,6 +710,10 @@ def write_series_csv(fileobj, fmt, meta, keys, columns):
     so reading them back is exact; other columns (lists of ASCII str) as
     they are.
     """
+    # Imported on first use: _reprcsv builds its Ryu tables at import, which
+    # costs every process RSS, and `analyze` writes no CSV.
+    from ._reprcsv import csv_rows
+
     w = fileobj.write
     w(f"# format={fmt}\n")
     for key in keys:

@@ -108,6 +108,10 @@ class TestConfigParsing:
         ("seed=20240917", "seed=-1"),
         ("span_hz=3.0e9", "span_hz=1e20"),
         ("span_hz=3.0e9", "span_hz=2.097053e12"),
+        # the temperature step must fall on a logged time, (0, 12.9999] s
+        ("temp_step_time_s=1.0", "temp_step_time_s=0.0"),
+        ("temp_step_time_s=1.0", "temp_step_time_s=20.0"),
+        ("temp_step_time_s=1.0", "temp_step_time_s=12.999900000000002"),
     ])
     def test_out_of_range_value_rejected(self, patch):
         old, new = patch
@@ -120,6 +124,8 @@ class TestConfigParsing:
         ("temp_step_duration_s=13.0", "temp_step_duration_s=1000.0"),
         # an error map of (span + 100 MHz) / 0.5 MHz = 2**22 samples
         ("span_hz=3.0e9", "span_hz=2.097052e12"),
+        # the last logged time of 130,000 steps of 1e-4 s
+        ("temp_step_time_s=1.0", "temp_step_time_s=12.9999"),
     ])
     def test_values_at_the_caps_accepted(self, patch):
         old, new = patch
@@ -409,8 +415,8 @@ class TestIngest:
         k = np.arange(400.0)
         signal = (np.exp(-((k - 100) / 40) ** 2) + 0.6 * np.exp(-((k - 300) / 10) ** 2)
                   + 0.02 * np.sin(2 * np.pi * k / 7))
-        assert _top_peaks(signal, 0, 400, count=2, spacing=1) == [100, 106]
-        assert _top_peaks(signal, 0, 400, count=2, spacing=31) == [100, 301]
+        assert _top_peaks(signal, 0, 400, spacing=1)[:2] == [100, 106]
+        assert _top_peaks(signal, 0, 400, spacing=31)[:2] == [100, 301]
 
     def test_symmetric_export_is_ambiguous(self, table, default_cfg, tmp_path):
         # Two mirror-image Doppler valleys with one saturation feature each:
@@ -444,9 +450,12 @@ class TestIngest:
 
     def test_missing_column_rejected(self, sweep_run, table, default_cfg):
         _, out = sweep_run
-        icfg = replace(default_cfg.ingest, probe_column="nonexistent")
-        with pytest.raises(IngestError, match="nonexistent"):
-            ingest_scope_csv(out / "sweep_trace.csv", table, icfg)
+        # sweep_trace.csv has 4 columns: index 7 is past its end, and -1
+        # would count from it.
+        for column in ("nonexistent", "7", "-1"):
+            icfg = replace(default_cfg.ingest, probe_column=column)
+            with pytest.raises(IngestError, match=column):
+                ingest_scope_csv(out / "sweep_trace.csv", table, icfg)
 
 
 def numeric_rows(count, start=0):

@@ -348,11 +348,13 @@ def test_find_peaks_plateaus_and_edges():
     assert find_peaks(x, prominence=1.0 + 1e-9)[0].tolist() == []
 
 
-def scipy_subpackages_loaded_by(code):
-    """Which of four scipy subpackages are in sys.modules after `code`
-    (which imports sys) runs in a fresh interpreter, as a printed list."""
-    code += ("; print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.optimize', "
-             "'scipy.ndimage') if m in sys.modules))")
+SCIPY_SUBPACKAGES = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.ndimage")
+
+
+def modules_loaded_by(code, modules):
+    """Which of `modules` are in sys.modules after `code` (which imports sys)
+    runs in a fresh interpreter, as a printed list."""
+    code += f"; print(sorted(m for m in {modules!r} if m in sys.modules))"
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
@@ -360,10 +362,12 @@ def scipy_subpackages_loaded_by(code):
 
 
 def test_import_loads_no_scipy_subpackage():
-    # numpy is all that start-up needs; scipy.ndimage and scipy.optimize
-    # load in the functions that use them.
-    assert scipy_subpackages_loaded_by(
-        "import sys, saslock; saslock.harness.load_default_config(); import saslock.cli"
+    # numpy is all that start-up needs; scipy.ndimage, scipy.optimize and
+    # the CSV kernel, which builds its tables at import, load in the
+    # functions that use them.
+    assert modules_loaded_by(
+        "import sys, saslock; saslock.harness.load_default_config(); import saslock.cli",
+        SCIPY_SUBPACKAGES + ("saslock._reprcsv",),
     ) == "[]"
 
 
@@ -371,9 +375,10 @@ def test_import_loads_no_scipy_subpackage():
 def test_command_loads_no_scipy_subpackage(command, tmp_path):
     # Marker B takes the smallest running median without computing the
     # running median, so neither command needs scipy.ndimage.
-    assert scipy_subpackages_loaded_by(
+    assert modules_loaded_by(
         "import sys; from saslock.cli import main; "
-        f"assert main(['--out', {str(tmp_path)!r}, {command!r}]) == 0"
+        f"assert main(['--out', {str(tmp_path)!r}, {command!r}]) == 0",
+        SCIPY_SUBPACKAGES,
     ) == "[]"
     assert (tmp_path / "sweep_report.json").is_file()
 
@@ -460,7 +465,7 @@ class TestErrorSignal:
 
     def test_derivative_antisymmetric_zero_at_center(self):
         trace = self.dip_trace()
-        out = error_signal(trace, "derivative", smoothing_window=5)
+        out = error_signal(trace, "derivative")
         center = len(trace) // 2
         step = trace.step_hz()
         crossings = np.nonzero(np.diff(np.sign(out)))[0]
@@ -472,16 +477,11 @@ class TestErrorSignal:
     def test_zero_differential_zero_derivative(self):
         nu = np.linspace(-1e6, 1e6, 101)
         flat = SweepTrace(nu, np.ones(101), np.ones(101), np.zeros(101), {})
-        assert np.all(error_signal(flat, "derivative", 5) == 0.0)
+        assert np.all(error_signal(flat, "derivative") == 0.0)
 
     def test_output_length_matches(self):
         trace = self.dip_trace()
-        assert len(error_signal(trace, "derivative", 7)) == len(trace)
-
-    @pytest.mark.parametrize("window", [0, 2, 501, -3])
-    def test_invalid_window_rejected(self, window):
-        with pytest.raises(ValueError):
-            error_signal(self.dip_trace(), "derivative", window)
+        assert len(error_signal(trace, "derivative")) == len(trace)
 
 
 # Floats whose repr round trip is easy to get wrong: signed zeros,
