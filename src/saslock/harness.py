@@ -86,6 +86,11 @@ EXPERIMENTAL_DEPTHS_REFERENCE = {"doppler": 236.0, "hyperfine": 38.3, "crossover
 MAX_SWEEP_SAMPLES = 2**22
 MAX_RUN_STEPS = 10**7
 
+# Each of the lock supervisor's time scales must last at least this many
+# steps of dt_s. At ten steps the detector filter's alpha = dt / filter_time
+# is at most 0.1, and no phase can begin and end within a step or two.
+MIN_STEPS_PER_LOCK_TIME = 10
+
 # Ingest calibration refuses to choose between the two valley orders when
 # their best scores differ by less than this fraction: rounding would then
 # decide the sign of the slope.
@@ -371,6 +376,14 @@ def validate_config(cfg: ScenarioConfig, source="<config>"):
         )
     if cfg.plant.k_ctrl == 0:
         raise ConfigError(f"{source}: plant k_ctrl must be nonzero")
+    dt = cfg.run.dt_s
+    for name in ("sweep_time", "hold_time", "loss_time", "filter_time", "relock_delay"):
+        value = getattr(cfg.lock, name)
+        if value / dt < MIN_STEPS_PER_LOCK_TIME:
+            raise ConfigError(
+                f"{source}: [lock] {name}_s={value!r} is {value / dt:.4g} steps of "
+                f"dt_s={dt!r}; it needs at least {MIN_STEPS_PER_LOCK_TIME}"
+            )
     try:
         table = cfg.load_table()
         hyperfine = find_feature(table, cfg.markers.hyperfine_feature)
@@ -625,6 +638,7 @@ def run_lock_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None) -> 
                 "%",
             )
         )
+        _check_window(criteria, "post_lock_window", int(window.sum()), 1.0, cfg.run.dt_s)
     return _finalize(out_dir, fmt, "lock", cfg, seed, criteria, measured, artifacts)
 
 
@@ -698,6 +712,11 @@ def run_temp_step_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None
             "Hz",
         )
     )
+    for name, window in (("pre_step_window", pre), ("post_step_window", post)):
+        # Each window is one run of samples from its first.
+        start = int(np.argmax(window))
+        covered = log.phase[start:start + int(window.sum())].count("locked")
+        _check_window(criteria, name, covered, 0.5, cfg.run.dt_s)
     return _finalize(out_dir, fmt, "temp_step", cfg, seed, criteria, measured, artifacts)
 
 
@@ -758,7 +777,20 @@ def run_fluorescence_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=N
             "monotone_decrease", strictly_decreasing, float(strictly_decreasing), "F strictly decreasing in |delta|"
         ),
     ]
+    _check_window(criteria, "steady_window", int(steady.sum()), 0.1, cfg.run.dt_s)
     return _finalize(out_dir, fmt, "fluorescence", cfg, seed, criteria, measured, [])
+
+
+def _check_window(criteria, name, covered, window_s, dt):
+    """Fail a report whose criteria over a window of lock saw less of it.
+
+    `covered` counts the locked samples inside the window; at the step dt
+    they must cover it. Like run_completed, the criterion is added only
+    when it fails.
+    """
+    if covered < round(window_s / dt):
+        criteria.append(Criterion(name, False, covered * dt,
+                                  f"locked samples cover {window_s} s", "s"))
 
 
 def _check_completed(log, criteria, measured):

@@ -25,17 +25,20 @@ over plain floats and tuples (`_pid_update`, `_supervise`). `pid_step` and
 `lock_step` wrap them in the PidState/LockState dataclasses for callers
 that step by hand. `closed_loop_run` is a flat kernel: it sets up the error
 map as lists with per-interval slopes (looked up with numpy's interp
-arithmetic), draws both noise streams in blocks and hoists the plant
+arithmetic, the interval indexed from the uniform map step and checked
+against the axis), draws both noise streams in blocks and hoists the plant
 constants, then runs one loop over local floats that calls `_supervise` and
-`plant._plant_update`, the function under `plant.step_plant`. No dataclass
-or dict is built per step, and the logs are bit-identical to stepping the public
+`plant._plant_update`, the function under `plant.step_plant`. The run keeps
+no PID state, so with kd == 0 its law keeps no derivative window. Each step
+stores into the preallocated logs through memoryviews. No dataclass or dict
+is built per step, and the logs are bit-identical to stepping the public
 functions one call at a time.
 """
 
 import math
 from bisect import bisect_right
 from dataclasses import astuple, dataclass, replace
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -108,12 +111,17 @@ class PidState:
 _PID_START = (0.0, None, 0.0, (), None)
 
 
-def _pid_gains(cfg: PidConfig):
+def _pid_gains(cfg: PidConfig, keep_window=True):
     # The integrator rails keep the quiescent output (zero error) inside the
     # output rails.
+    # A caller that drops the PID state may skip the derivative window when
+    # kd is zero: kd * d is then +-0.0 for a finite d, which changes at most
+    # the sign of a zero sum, and adding the offset undoes that unless the
+    # offset is -0.0. A non-finite d drops the term in both paths.
+    keep_window = keep_window or cfg.kd != 0 or math.copysign(1.0, cfg.offset) < 0
     return (cfg.kp, cfg.ki, cfg.kd, cfg.offset, cfg.output_min, cfg.output_max,
             cfg.output_min - cfg.offset, cfg.output_max - cfg.offset,
-            cfg.derivative_smoothing)
+            cfg.derivative_smoothing, keep_window)
 
 
 def _pid_update(gains, state, error, dt):
@@ -121,15 +129,11 @@ def _pid_update(gains, state, error, dt):
 
     `gains` is `_pid_gains(cfg)` and `state` a PID state tuple. `pid_step`
     and the closed-loop kernel both run the law through this function.
+    Without the window flag of `gains` the window and the smoothed error
+    pass through unchanged.
     """
-    kp, ki, kd, offset, out_min, out_max, int_min, int_max, smoothing = gains
-    integrator, prev_error, _, window, prev_smoothed = state
-
-    window = (window + (error,))[-smoothing:]
-    smoothed = sum(window) / len(window)
-    if prev_smoothed is None:
-        prev_smoothed = smoothed
-    derivative = (smoothed - prev_smoothed) / dt
+    kp, ki, kd, offset, out_min, out_max, int_min, int_max, smoothing, keep_window = gains
+    integrator, prev_error, _, window, smoothed = state
 
     if prev_error is None:
         prev_error = error
@@ -139,7 +143,15 @@ def _pid_update(gains, state, error, dt):
     candidate = int_min if int_min > candidate else candidate
     candidate = int_max if int_max < candidate else candidate
 
-    raw = kp * error + candidate + kd * derivative + offset
+    raw = kp * error + candidate
+    if keep_window:
+        window = (window + (error,))[-smoothing:]
+        prev_smoothed = smoothed
+        smoothed = sum(window) / len(window)
+        if prev_smoothed is None:
+            prev_smoothed = smoothed
+        raw += kd * ((smoothed - prev_smoothed) / dt)
+    raw += offset
     if raw != raw:
         # Finite inputs can overflow a term to inf (a jump of 1e300 over
         # dt=1e-10), and kd = 0 times inf, or inf - inf, is NaN. Such a step
@@ -313,11 +325,11 @@ class LockState:
     error_filter: float = None  # first-order filtered error, V
 
 
-def _supervisor_law(pid_cfg: PidConfig, lock_cfg: LockConfig, dt):
+def _supervisor_law(pid_cfg: PidConfig, lock_cfg: LockConfig, dt, keep_window=True):
     if lock_cfg.lock_threshold_v is None or lock_cfg.loss_threshold_v is None:
         raise SaslockError("lock thresholds not resolved; use resolve_thresholds()")
-    return (_pid_gains(pid_cfg), lock_cfg.lock_threshold_v, lock_cfg.loss_threshold_v,
-            lock_cfg.hold_time, lock_cfg.loss_time, lock_cfg.relock_delay,
+    return (_pid_gains(pid_cfg, keep_window), lock_cfg.lock_threshold_v,
+            lock_cfg.loss_threshold_v, lock_cfg.hold_time, lock_cfg.loss_time, lock_cfg.relock_delay,
             lock_cfg.sweep_time, min(1.0, dt / lock_cfg.filter_time))
 
 
@@ -475,19 +487,33 @@ _NOISE_BLOCK = 1024
 
 def _normal_stream(rng, sigma, n):
     """n draws of normal(0, sigma) from rng, drawn in blocks."""
-    for start in range(0, n, _NOISE_BLOCK):
-        yield from rng.normal(0.0, sigma, min(_NOISE_BLOCK, n - start)).tolist()
+    return chain.from_iterable(
+        rng.normal(0.0, sigma, min(_NOISE_BLOCK, n - start)).tolist()
+        for start in range(0, n, _NOISE_BLOCK)
+    )
 
 
-def _interp(x, xp, fp, slopes):
+def _interp(x, xp, fp, slopes, per_hz=0.0):
     """np.interp(x, xp, fp) for one float, with the same arithmetic.
 
     xp, fp are lists over an increasing axis and slopes[j] is
-    (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]), as numpy computes it.
+    (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]), as numpy computes it. On a
+    uniform axis, `per_hz` = (len(xp) - 1) / (xp[-1] - xp[0]) guesses the
+    interval j from x's offset. The guess is kept only if xp[j] <= x <
+    xp[j + 1]; otherwise bisection finds j, so any per_hz >= 0 gives
+    numpy's j.
     """
     if x != x:
         return x
-    j = bisect_right(xp, x) - 1
+    try:
+        # A guess below 0 means x < xp[0]; indexed from the end, it fails
+        # the check.
+        j = int((x - xp[0]) * per_hz)
+        if not xp[j] <= x < xp[j + 1]:
+            j = bisect_right(xp, x) - 1
+    except (IndexError, OverflowError, ValueError):
+        # A guess past either end of xp, or an infinite offset.
+        j = bisect_right(xp, x) - 1
     if j < 0:
         return fp[0]
     if j >= len(slopes) or xp[j] == x:
@@ -535,7 +561,8 @@ def closed_loop_run(
         table, medium, plant_cfg, ramp_cfg, lock_cfg
     )
     lock_cfg = resolve_thresholds(lock_cfg, lock_point, dip_fwhm)
-    law = _supervisor_law(pid_cfg, lock_cfg, dt)
+    # The PID state is internal to the run, so the window may be skipped.
+    law = _supervisor_law(pid_cfg, lock_cfg, dt, keep_window=False)
 
     net_gain = plant_cfg.k_ctrl * plant_cfg.k_current  # Hz per control volt
     polarity = -math.copysign(1.0, net_gain * lock_point.slope)
@@ -563,6 +590,7 @@ def closed_loop_run(
     map_x = map_axis.tolist()
     map_y = curve.tolist()
     map_slopes = (np.diff(curve) / np.diff(map_axis)).tolist()
+    map_per_hz = (len(map_x) - 1) / (map_x[-1] - map_x[0])
 
     lock_detuning = lock_point.detuning
     escape_span = lock_cfg.escape_span_hz
@@ -583,10 +611,16 @@ def closed_loop_run(
     time_in_phase = qualify = filtered = 0.0
     pid = _PID_START
 
+    # The loop stores through memoryviews of the preallocated logs: an item
+    # store costs about half of an ndarray's.
     log_detuning = np.empty(n)
     log_error = np.empty(n)
     log_control = np.empty(n)
     log_temperature = np.empty(n)
+    store_detuning = memoryview(log_detuning)
+    store_error = memoryview(log_error)
+    store_control = memoryview(log_control)
+    store_temperature = memoryview(log_temperature)
     log_phase = []
     aborted = False
     abort_reason = ""
@@ -596,7 +630,7 @@ def closed_loop_run(
         if temp_step_time is not None and t >= temp_step_time:
             disturbance = temp_step_k
 
-        error_raw = _interp(detuning, map_x, map_y, map_slopes)
+        error_raw = _interp(detuning, map_x, map_y, map_slopes, map_per_hz)
         if add_meas_noise:
             error_raw += meas_noise_v
 
@@ -630,10 +664,10 @@ def closed_loop_run(
         if detuning_step_time is not None and t < detuning_step_time <= t + dt:
             base += detuning_step_hz
 
-        log_detuning[k] = detuning
-        log_error[k] = error_raw
-        log_control[k] = control
-        log_temperature[k] = temperature
+        store_detuning[k] = detuning
+        store_error[k] = error_raw
+        store_control[k] = control
+        store_temperature[k] = temperature
         log_phase.append(phase)
 
     meta = {

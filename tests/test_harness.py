@@ -112,6 +112,9 @@ class TestConfigParsing:
         ("temp_step_time_s=1.0", "temp_step_time_s=0.0"),
         ("temp_step_time_s=1.0", "temp_step_time_s=20.0"),
         ("temp_step_time_s=1.0", "temp_step_time_s=12.999900000000002"),
+        # sweep_time_s=0.004 needs 10 steps: 2 steps, and 9.999999999999998
+        ("dt_s=1.0e-4", "dt_s=0.5"),
+        ("dt_s=1.0e-4", "dt_s=0.0004000000000000001"),
     ])
     def test_out_of_range_value_rejected(self, patch):
         old, new = patch
@@ -126,6 +129,8 @@ class TestConfigParsing:
         ("span_hz=3.0e9", "span_hz=2.097052e12"),
         # the last logged time of 130,000 steps of 1e-4 s
         ("temp_step_time_s=1.0", "temp_step_time_s=12.9999"),
+        # 10 steps of sweep_time_s=0.004, the shortest lock time
+        ("dt_s=1.0e-4", "dt_s=0.0004"),
     ])
     def test_values_at_the_caps_accepted(self, patch):
         old, new = patch
@@ -262,6 +267,16 @@ class TestLockExperiment:
         assert not by_name["lock_achieved"].passed
         assert report.measured["phase_history"][-1]["phase"] != "locked"
 
+    def test_short_run_fails_post_lock_window(self, default_cfg, tmp_path):
+        # 0.1 s of run cannot show the 1 s of lock the post-lock criteria name.
+        cfg = replace(default_cfg, run=replace(default_cfg.run, lock_duration_s=0.1))
+        report = run_lock_experiment(cfg, tmp_path)
+        by_name = {c.name: c for c in report.criteria}
+        assert by_name["lock_achieved"].passed
+        assert not by_name["post_lock_window"].passed
+        assert 0.0 < by_name["post_lock_window"].measured < 0.1
+        assert not report.passed
+
     def test_phase_history_recorded(self, lock_run):
         report, _ = lock_run
         phases = [h["phase"] for h in report.measured["phase_history"]]
@@ -319,6 +334,22 @@ class TestTempStepExperiment:
         assert not report.passed
         assert "non-finite" in report.measured["abort_reason"]
 
+    def test_step_before_a_locked_window_fails(self, default_cfg, tmp_path):
+        # Lock is reached about 45 ms in, so 0.3 s gives less than the 0.5 s
+        # of locked samples the pre-step mean names.
+        cfg = replace(
+            default_cfg,
+            run=replace(default_cfg.run, temp_step_k=0.0, temp_step_time_s=0.3,
+                        temp_step_duration_s=1.5),
+        )
+        report = run_temp_step_experiment(cfg, tmp_path)
+        by_name = {c.name: c for c in report.criteria}
+        assert by_name["delta_control"].passed
+        assert not by_name["pre_step_window"].passed
+        assert 0.2 < by_name["pre_step_window"].measured < 0.3
+        assert "post_step_window" not in by_name
+        assert not report.passed
+
     def test_resettle_metrics_present(self, temp_step_pos):
         report, _ = temp_step_pos
         assert report.measured["max_detuning_excursion_hz"] < 2.0e6
@@ -344,6 +375,15 @@ class TestFluorescenceExperiment:
         assert not by_name["run_completed"].passed
         assert not by_name["lock_achieved"].passed
         assert json.loads((tmp_path / "fluorescence_report.json").read_text())["passed"] is False
+
+    def test_short_run_fails_steady_window(self, default_cfg, tmp_path):
+        cfg = replace(default_cfg, run=replace(default_cfg.run, fluor_duration_s=0.1))
+        report = run_fluorescence_experiment(cfg, tmp_path)
+        by_name = {c.name: c for c in report.criteria}
+        assert by_name["locked_brightness"].passed
+        assert not by_name["steady_window"].passed
+        assert 0.0 < by_name["steady_window"].measured < 0.1
+        assert not report.passed
 
     def test_monotone_decrease(self, fluorescence_run):
         report, _ = fluorescence_run

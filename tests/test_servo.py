@@ -1,10 +1,11 @@
 """PID controller, lock-point finder, state machine, and closed loop."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 
 from saslock.errors import SaslockError, UnlockableError
 from saslock.plant import PlantConfig, RampConfig
@@ -201,6 +202,33 @@ class TestPidProperties:
             assert repr(state) == repr(ref_state) == repr(PidState(*kernel_state))
             assert repr(control) == repr(kernel_control) == repr(ref_control)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cfg=pid_configs(),
+        kp=strategies.sampled_from([0.0, -0.0]) | bounded(1e3),
+        kd=strategies.sampled_from([0.0, -0.0]),
+        offset=strategies.sampled_from([0.0, -0.0]) | bounded(100.0),
+        integrator=strategies.sampled_from([0.0, -0.0]) | bounded(100.0),
+        errors=strategies.lists(strategies.sampled_from([0.0, -0.0]) | bounded(1e300),
+                                min_size=1, max_size=40),
+        dt=strategies.just(1e-10) | strategies.floats(1e-10, 10.0),
+    )
+    @example(cfg=PidConfig(), kp=1.0, kd=0.0, offset=-0.0, integrator=-0.0, errors=[-0.0],
+             dt=1e-4)
+    def test_skipping_the_window_without_kd_keeps_every_bit(self, cfg, kp, kd, offset,
+                                                            integrator, errors, dt):
+        # kp * error + integral is -0.0 when both terms are, as in the
+        # example; kd * derivative = +0.0 turns that sum +0.0, and a -0.0
+        # offset then keeps the difference.
+        cfg = replace(cfg, kp=kp, kd=kd, offset=offset)
+        full, skip = _pid_gains(cfg), _pid_gains(cfg, keep_window=False)
+        full_state = skip_state = (integrator,) + _PID_START[1:]
+        for error in errors:
+            full_state, full_control = _pid_update(full, full_state, error, dt)
+            skip_state, skip_control = _pid_update(skip, skip_state, error, dt)
+            assert repr(skip_control) == repr(full_control)
+            assert repr(skip_state[0]) == repr(full_state[0])
+
 
 @strategies.composite
 def interp_cases(draw):
@@ -217,6 +245,33 @@ def test_interp_matches_numpy_bitwise(case):
     with np.errstate(over="ignore"):  # knots a few ulps apart give infinite slopes
         slopes = (np.diff(fp) / np.diff(xp)).tolist()
     assert repr(_interp(x, xp, fp, slopes)) == repr(float(np.interp(x, xp, fp)))
+
+
+@strategies.composite
+def uniform_axis_cases(draw):
+    lo = draw(bounded(1e10))
+    width = draw(strategies.floats(1e6, 1e10))
+    n = draw(strategies.integers(2, 10_000))
+    rng = np.random.default_rng(draw(strategies.integers(0, 2**32)))
+    xp = np.linspace(lo, lo + width, n).tolist()
+    fp = rng.uniform(-1.0, 1.0, n).tolist()
+    # Knots and their neighbours are where rounding moves the guessed index.
+    knots = [xp[0], xp[-1]] + [xp[k] for k in rng.integers(0, n, 20)]
+    xs = [x for knot in knots
+          for x in (math.nextafter(knot, -math.inf), knot, math.nextafter(knot, math.inf))]
+    xs += [lo - width, xp[-1] + width, math.inf, -math.inf, math.nan,
+           draw(strategies.floats(lo - width, lo + 2 * width))]
+    return xs, xp, fp
+
+
+@settings(max_examples=200, deadline=None)
+@given(uniform_axis_cases())
+def test_indexed_interp_matches_numpy_bitwise(case):
+    xs, xp, fp = case
+    slopes = (np.diff(fp) / np.diff(xp)).tolist()
+    per_hz = (len(xp) - 1) / (xp[-1] - xp[0])
+    for x, expected in zip(xs, np.interp(xs, xp, fp).tolist()):
+        assert repr(_interp(x, xp, fp, slopes, per_hz)) == repr(expected), x
 
 
 def dip_trace(center=0.0, amplitude=0.2, width=10e6, span=60e6, n=601):
