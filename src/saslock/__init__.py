@@ -4,7 +4,7 @@ Submodules:
 
 * ``atomic_data``: the D2 line table, crossover derivation, feature lookup
 * ``lineshape``: Lorentzian/Gaussian profiles, Doppler and saturation widths
-* ``spectrum``: sweep synthesis, depth markers/metrics, fitting, error signals
+* ``spectrum``: sweep synthesis, depth markers/metrics, error signals
 * ``plant``: the current/temperature-tuned DBR laser model
 * ``servo``: PID, lock-acquisition state machine, closed-loop runner
 * ``harness``: scenario configs, bench experiments, scope-CSV ingestion
@@ -40,7 +40,6 @@ from .spectrum import (
     depth_metrics,
     error_signal,
     extract_markers,
-    fit_lineshape,
     synthesize_sweep,
 )
 from .plant import LaserState, PlantConfig, RampConfig, ramp_waveform, step_plant

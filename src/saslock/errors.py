@@ -35,10 +35,6 @@ class NoSubDopplerFeaturesError(SaslockError):
     """Marker extraction found no saturation features in the trace."""
 
 
-class FitConvergenceError(SaslockError):
-    """Line-shape fit did not converge within the iteration cap."""
-
-
 class ModeHopError(SaslockError):
     """Laser detuning left the mode-hop-free envelope."""
 

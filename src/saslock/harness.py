@@ -53,13 +53,13 @@ from .spectrum import (
     MarkerSelection,
     MediumConfig,
     NoiseConfig,
+    RunningMedian,
     SweepTrace,
     depth_metrics,
     extract_markers,
     find_peaks,
     isotope_doppler_fwhm,
     moving_average,
-    moving_median,
     odd_window,
     read_series_csv,
     sha256_16,
@@ -921,20 +921,15 @@ def ingest_scope_csv(path, table: LineTable, ingest_cfg: IngestConfig) -> SweepT
 def _valley_regions(time, probe):
     """Index ranges of Doppler valleys, from a dip-suppressed envelope.
 
-    A moving median supplies the envelope (plain averaging lets a strong
-    crossover punch through the valley threshold and split one valley into
-    fragments); nearby fragments are merged and slivers dropped.
+    The envelope is the probe's running median over n/64 samples (plain
+    averaging lets a strong crossover punch through the valley threshold and
+    split one valley into fragments); `_envelope_valleys` reads the valleys
+    off it. Nearby fragments are merged and slivers dropped.
     """
     n = len(time)
-    envelope = moving_median(probe, odd_window(n // 64, 5))
-    # Off-resonance level from a high percentile: the median sags when
-    # valleys and their wings cover much of the sweep.
-    baseline = float(np.percentile(envelope, 90))
-    depth = baseline - envelope
-    max_depth = float(depth.max())
+    _, max_depth, valley = _envelope_valleys(probe, odd_window(n // 64, 5))
     if max_depth <= 0:
         raise IngestError("no absorption valleys in the trace")
-    valley = depth > 0.2 * max_depth
 
     edges = np.diff(valley.astype(np.int8), prepend=0, append=0)
     regions = np.column_stack(
@@ -948,6 +943,37 @@ def _valley_regions(time, probe):
         else:
             merged.append(region)
     return [r for r in merged if r[1] - r[0] >= min_gap]
+
+
+def _envelope_valleys(probe, window):
+    """Baseline, deepest depth and valley mask of the probe's envelope.
+
+    The envelope is the edge-padded running median over `window` samples.
+    The baseline is its 90th percentile, the off-resonance level (the median
+    sags when valleys and their wings cover much of the sweep); a sample's
+    depth is baseline - envelope, and it lies in a valley where the depth
+    exceeds a fifth of the deepest. The envelope is never formed: all three
+    are the values np.percentile and the depth comparison give on it, bit
+    for bit, from a few of its order statistics.
+    """
+    envelope = RunningMedian(probe, window)
+    n = len(probe)
+    # np.percentile interpolates between the k-th and (k + 1)-th smallest
+    # medians; a stand-in array holding them at those ranks keeps its bytes.
+    k = int((n - 1) * 0.9)
+    low, count = envelope.order_statistic(k)
+    high = low if k + 1 == n or count > k + 1 else envelope.order_statistic(k + 1)[0]
+    stand_in = np.full(n, low)
+    stand_in[k + 1:] = high
+    baseline = float(np.percentile(stand_in, 90, overwrite_input=True))
+    # baseline - v falls as v rises, in floating point too, so the deepest
+    # depth is the smallest median's, and the valley medians are those at or
+    # below the largest sample value whose depth passes the threshold.
+    max_depth = baseline - envelope.order_statistic(0)[0]
+    passing = np.count_nonzero(baseline - envelope.values > 0.2 * max_depth)
+    if passing == 0:  # max_depth is 0, infinite or NaN
+        return baseline, max_depth, np.zeros(n, dtype=bool)
+    return baseline, max_depth, envelope.at_most(envelope.values[passing - 1])
 
 
 def _calibration_feature_times(time, probe, differential, table, nu_a, nu_b):

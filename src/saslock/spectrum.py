@@ -42,7 +42,6 @@ import numpy as np
 
 from .atomic_data import LineTable, find_feature, manifold_features, transitions
 from .errors import (
-    FitConvergenceError,
     NoSubDopplerFeaturesError,
     SweepError,
     UnknownFeatureError,
@@ -298,57 +297,66 @@ def odd_window(n, minimum=1):
     return n if n % 2 else n + 1
 
 
-def moving_median(y, window):
-    """Edge-padded moving median; suppresses features narrower than window/2.
+class RunningMedian:
+    """The edge-padded running median of y over an odd window, queried by
+    rank without being formed.
 
-    The window must be odd, so each output is one input element: the same
-    value, bit for bit, as np.median over the edge-padded window, for finite
-    or infinite input (NaN is ordered differently). Adding 0.0 turns -0.0
-    into 0.0, as np.median's one-element mean does.
+    Each median is one sample of y, and for a window of 2h + 1 samples a
+    median is <= v exactly when more than h of its edge-padded samples are
+    <= v. One cumulative sum counts those samples for every window at once,
+    so bisection over the sorted distinct values of y finds any order
+    statistic of the medians, bit for bit as np.median over each window
+    gives them (adding 0.0 turns -0.0 into 0.0, as np.median's one-element
+    mean does).
     """
-    y = np.asarray(y, dtype=float)
-    if window <= 1:
-        return y.copy()
-    if window % 2 == 0:
-        raise ValueError(f"moving_median needs an odd window, got {window}")
-    # Imported on first use: scipy.ndimage takes about 0.4 s and 20 MB to
-    # load. Only `analyze`'s valley envelope pays it; the marker-B floor
-    # needs just the smallest median, which moving_median_min finds in numpy.
-    from scipy.ndimage import median_filter
 
-    out = median_filter(y, size=window, mode="nearest")
-    out += 0.0
-    return out
+    def __init__(self, y, window):
+        if window % 2 == 0:
+            raise ValueError(f"running median needs an odd window, got {window}")
+        y = np.asarray(y, dtype=float)
+        self.window = window
+        self.values = np.unique(y)
+        self._padded = np.pad(y, window // 2, mode="edge")
+        # The running sum wraps in uint16, but each window's difference of it
+        # stays exact while the window is shorter than 2**16 samples.
+        self._dtype = np.uint16 if window < 2**16 else np.uint64
+
+    def at_most(self, value, first=0, stop=None):
+        """Mask of the windows first..stop-1 (default: all) whose median is
+        <= value."""
+        window = self.window
+        stop = len(self._padded) - window + 1 if stop is None else stop
+        below = np.cumsum(self._padded[first:stop + window - 1] <= value, dtype=self._dtype)
+        count = below[window - 1:]
+        count[1:] -= below[:-window]  # samples <= value in each window
+        return count > window // 2
+
+    def order_statistic(self, k):
+        """The k-th smallest median (k = 0 is the smallest), and the number
+        of medians at or below it."""
+        lo, hi = 0, len(self.values) - 1
+        # Windows first..stop-1 hold every median <= values[hi], and so
+        # every median that a later probe can count.
+        first, stop = 0, len(self._padded) - self.window + 1
+        count_hi = stop
+        while lo < hi:
+            mid = (lo + hi) // 2
+            at_most = self.at_most(self.values[mid], first, stop)
+            count = np.count_nonzero(at_most)
+            if count > k:
+                hi, count_hi = mid, count
+                stop = first + len(at_most) - int(at_most[::-1].argmax())
+                first += int(at_most.argmax())
+            else:
+                lo = mid + 1
+        return float(self.values[lo]) + 0.0, count_hi
 
 
 def moving_median_min(y, window):
-    """moving_median(y, window).min(), bit for bit, without the running median.
-
-    For an odd window of 2h + 1 samples, a window's median is <= v exactly
-    when more than h of its edge-padded samples are <= v. The smallest
-    median is therefore the smallest value v of y that some window holds
-    more than h samples at or below; bisection over the sorted distinct
-    values finds it, each probe one cumulative-sum count per window.
-    """
-    y = np.asarray(y, dtype=float)
+    """The smallest edge-padded running median of y over an odd window."""
     if window <= 1:
-        return float(y.min())
-    if window % 2 == 0:
-        raise ValueError(f"moving_median_min needs an odd window, got {window}")
-    half = window // 2
-    values = np.unique(y)
-    padded = np.pad(y, half, mode="edge")
-    lo, hi = 0, len(values) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        below = np.cumsum(padded <= values[mid], dtype=np.int32)
-        count = below[window - 1:]
-        count[1:] -= below[:-window]  # samples <= values[mid] in each window
-        if count.max() > half:
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(values[lo]) + 0.0
+        return float(np.min(y))
+    return RunningMedian(y, window).order_statistic(0)[0]
 
 
 def moving_average(y, window):
@@ -586,81 +594,6 @@ def depth_metrics(m: DepthMarkers) -> DepthMetrics:
         doppler_depth=(m.A - m.B) / m.A * 100.0,
         hyperfine_depth=(m.B - m.C) / m.A * 100.0,
         crossover_depth=(m.D - m.B) / m.A * 100.0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Line-shape fitting
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FitResult:
-    model: str
-    amplitude: float
-    center: float
-    fwhm: float
-    offset: float
-    rms_residual: float
-
-
-def _lorentz_model(x, amp, center, fwhm, offset):
-    return offset + lorentzian_kernel(x, center, fwhm, amp)
-
-
-def _gauss_model(x, amp, center, fwhm, offset):
-    return offset + gaussian_kernel(x, center, fwhm, amp)
-
-
-def fit_lineshape(detuning, values, model="lorentzian", max_iterations=2000) -> FitResult:
-    """Least-squares fit of amplitude/center/width/offset to a trace segment.
-
-    Initializer: center at the extremum, width = half the segment span,
-    offset from the segment edges. A flat segment short-circuits to the
-    exact zero-amplitude solution. Non-convergence raises
-    FitConvergenceError rather than returning silently.
-    """
-    x = np.asarray(detuning, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if len(x) < 8:
-        raise SweepError(f"fit segment needs >= 8 samples, got {len(x)}")
-    models = {"lorentzian": _lorentz_model, "gaussian": _gauss_model}
-    if model not in models:
-        raise ValueError(f"unknown model {model!r}")
-    fn = models[model]
-
-    offset0 = float(np.median([y[0], y[1], y[-2], y[-1]]))
-    k = int(np.argmax(np.abs(y - offset0)))
-    amp0 = float(y[k] - offset0)
-    span = float(x[-1] - x[0])
-    width0 = abs(span) / 2.0
-
-    if abs(amp0) < 1e-12 * max(1.0, abs(offset0)):
-        # Flat segment: amplitude 0, offset = mean is the least-squares optimum.
-        offset = float(y.mean())
-        residual = y - offset
-        return FitResult(model, 0.0, float(x[k]), width0, offset,
-                         float(np.sqrt(np.mean(residual**2))))
-
-    from scipy.optimize import OptimizeWarning, curve_fit
-
-    try:
-        with warnings.catch_warnings():
-            # Perfect fits make the covariance singular; rms_residual is the
-            # quality report here, so the estimate is not needed.
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(
-                fn, x, y,
-                p0=[amp0, float(x[k]), width0, offset0],
-                maxfev=max_iterations,
-            )
-    except RuntimeError as exc:
-        raise FitConvergenceError(f"{model} fit did not converge: {exc}") from None
-    amp, center, fwhm, offset = popt
-    residual = y - fn(x, *popt)
-    return FitResult(
-        model, float(amp), float(center), float(abs(fwhm)), float(offset),
-        float(np.sqrt(np.mean(residual**2))),
     )
 
 

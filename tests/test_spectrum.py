@@ -1,4 +1,4 @@
-"""Sweep synthesis, marker extraction, depth metrics, fitting, error signals."""
+"""Sweep synthesis, marker extraction, depth metrics, error signals."""
 
 import io
 import itertools
@@ -15,12 +15,8 @@ from hypothesis import given, settings, strategies
 from saslock import spectrum
 from saslock._reprcsv import csv_rows
 from saslock.atomic_data import Isotope, LineTable, TransitionLine, find_feature
-from saslock.errors import (
-    FitConvergenceError,
-    NoSubDopplerFeaturesError,
-    SweepError,
-)
-from saslock.harness import manifold_window
+from saslock.errors import NoSubDopplerFeaturesError, SweepError
+from saslock.harness import _envelope_valleys, manifold_window
 from saslock.servo import TimeSeriesLog, write_locklog_csv
 from saslock.spectrum import (
     TRACE_FORMAT_VERSION,
@@ -28,15 +24,14 @@ from saslock.spectrum import (
     MarkerSelection,
     MediumConfig,
     NoiseConfig,
+    RunningMedian,
     SweepTrace,
     _prominences,
     depth_metrics,
     error_signal,
     extract_markers,
     find_peaks,
-    fit_lineshape,
     moving_average,
-    moving_median,
     moving_median_min,
     read_trace_csv,
     subdoppler_extrema,
@@ -207,41 +202,14 @@ class TestMarkers:
 
 
 def reference_moving_median(y, window):
-    """The per-sample median loop `moving_median` replaced, kept as its oracle."""
+    """The edge-padded running median as a per-sample np.median loop: the
+    oracle of RunningMedian's order statistics."""
     y = np.asarray(y, dtype=float)
     if window <= 1:
         return y.copy()
     pad = window // 2
     padded = np.pad(y, pad, mode="edge")
     return np.asarray([np.median(padded[i : i + window]) for i in range(len(y))])
-
-
-@strategies.composite
-def median_cases(draw):
-    values = strategies.one_of(
-        strategies.floats(allow_nan=False, width=64),
-        # few distinct levels, so windows are full of ties
-        strategies.integers(-3, 3).map(lambda k: 0.25 * k),
-    )
-    y = draw(strategies.lists(values, min_size=1, max_size=120))
-    # odd windows from 1 up to beyond the length of the data
-    half = draw(strategies.integers(0, len(y) + 2))
-    return np.asarray(y, dtype=float), 2 * half + 1
-
-
-@settings(max_examples=300, deadline=None)
-@given(median_cases())
-def test_moving_median_matches_per_sample_median(case):
-    y, window = case
-    got = moving_median(y, window)
-    want = reference_moving_median(y, window)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
-
-
-def test_moving_median_rejects_even_window():
-    with pytest.raises(ValueError, match="odd"):
-        moving_median(np.arange(9.0), 4)
 
 
 @strategies.composite
@@ -266,7 +234,7 @@ def median_min_cases(draw):
 def test_moving_median_min_matches_moving_median(case):
     y, window = case
     got = moving_median_min(y, window)
-    want = moving_median(y, window).min()
+    want = reference_moving_median(y, window).min()
     assert type(got) is float
     assert np.float64(got).tobytes() == want.tobytes()  # signed zeros included
 
@@ -279,7 +247,64 @@ def test_moving_median_min_exhaustive_small():
             y = np.asarray(y)
             for window in range(1, 2 * n + 2, 2):
                 got = moving_median_min(y, window)
-                assert np.float64(got).tobytes() == moving_median(y, window).min().tobytes()
+                want = reference_moving_median(y, window).min()
+                assert np.float64(got).tobytes() == want.tobytes()
+
+
+def test_running_median_counts_windows_wider_than_uint16():
+    # A window of 2**16 + 1 samples holds more samples <= 1.0 than a uint16
+    # count can: every median is 1.0, and a wrapped count would make it 9.0.
+    y = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 9.0, 1.0])
+    window = 2**16 + 1
+    median = RunningMedian(y, window)
+    got = [median.order_statistic(k)[0] for k in range(len(y))]
+    assert got == np.sort(reference_moving_median(y, window)).tolist() == [1.0] * len(y)
+    assert moving_median_min(y, window) == 1.0
+
+
+def reference_envelope_valleys(probe, window):
+    """`_envelope_valleys` from a formed envelope: scipy's running median,
+    np.percentile and the depth comparison."""
+    from scipy.ndimage import median_filter
+
+    envelope = median_filter(probe, size=window, mode="nearest") + 0.0
+    baseline = float(np.percentile(envelope, 90))
+    depth = baseline - envelope
+    max_depth = float(depth.max())
+    return baseline, max_depth, depth > 0.2 * max_depth
+
+
+@strategies.composite
+def envelope_cases(draw):
+    """A probe trace (a random walk rounded into ties and signed zeros, a
+    few levels, or finite floats of any size) and an odd window from 5 to
+    past it."""
+    n = draw(strategies.one_of(
+        strategies.integers(1, 300),
+        # (n - 1) * 0.9 rounds onto an integer, so the percentile's upper
+        # order statistic has weight 0
+        strategies.integers(1, 30).map(lambda m: 10 * m + 1),
+    ))
+    rng = np.random.default_rng(draw(strategies.integers(0, 2**32 - 1)))
+    kind = draw(strategies.sampled_from(["walk", "levels", "floats"]))
+    if kind == "walk":
+        y = np.round(np.cumsum(rng.uniform(-1.0, 1.0, n)), draw(strategies.integers(0, 1)))
+    elif kind == "levels":
+        y = rng.choice([-0.0, 0.0, 0.5, -0.5, 1.0], n)
+    else:  # subnormal to near the largest float, so the lerp can overflow
+        y = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1074, 1024, n))
+    return y, 2 * draw(strategies.integers(2, n + 2)) + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(envelope_cases())
+def test_envelope_valleys_match_formed_envelope(case):
+    y, window = case
+    got = _envelope_valleys(y, window)
+    want = reference_envelope_valleys(y, window)
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()  # baseline
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()  # max_depth
+    assert got[2].dtype == bool and got[2].tolist() == want[2].tolist()
 
 
 @pytest.mark.parametrize("window_filter", [moving_median_min, moving_average])
@@ -348,7 +373,7 @@ def test_find_peaks_plateaus_and_edges():
     assert find_peaks(x, prominence=1.0 + 1e-9)[0].tolist() == []
 
 
-SCIPY_SUBPACKAGES = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.ndimage")
+SCIPY_SUBPACKAGES = ("scipy", "scipy.signal", "scipy.stats", "scipy.optimize", "scipy.ndimage")
 
 
 def modules_loaded_by(code, modules):
@@ -362,25 +387,28 @@ def modules_loaded_by(code, modules):
 
 
 def test_import_loads_no_scipy_subpackage():
-    # numpy is all that start-up needs; scipy.ndimage, scipy.optimize and
-    # the CSV kernel, which builds its tables at import, load in the
-    # functions that use them.
+    # numpy is all that start-up needs; the CSV kernel, which builds its
+    # tables at import, loads in the functions that use it.
     assert modules_loaded_by(
         "import sys, saslock; saslock.harness.load_default_config(); import saslock.cli",
         SCIPY_SUBPACKAGES + ("saslock._reprcsv",),
     ) == "[]"
 
 
-@pytest.mark.parametrize("command", ["sweep", "all"])
-def test_command_loads_no_scipy_subpackage(command, tmp_path):
-    # Marker B takes the smallest running median without computing the
-    # running median, so neither command needs scipy.ndimage.
+@pytest.mark.parametrize("command", ["sweep", "all", "analyze"])
+def test_command_loads_no_scipy_subpackage(command, tmp_path, sweep_run):
+    # Marker B and analyze's valley envelope take order statistics of the
+    # running median without forming it, so no command needs scipy.
+    argv = ["--out", str(tmp_path), command]
+    if command == "analyze":
+        scope = tmp_path / "scope.csv"
+        scope.write_bytes((sweep_run[1] / "sweep_trace.csv").read_bytes())
+        argv.append(str(scope))
     assert modules_loaded_by(
-        "import sys; from saslock.cli import main; "
-        f"assert main(['--out', {str(tmp_path)!r}, {command!r}]) == 0",
+        f"import sys; from saslock.cli import main; assert main({argv!r}) == 0",
         SCIPY_SUBPACKAGES,
     ) == "[]"
-    assert (tmp_path / "sweep_report.json").is_file()
+    assert (tmp_path / "sweep_report.json").is_file() == (command != "analyze")
 
 
 class TestDepthMetrics:
@@ -408,47 +436,6 @@ class TestDepthMetrics:
     def test_zero_baseline_rejected(self):
         with pytest.raises(ValueError):
             DepthMarkers(A=0.0, B=0.0, C=0.0, D=0.0)
-
-
-class TestFitting:
-    def test_lorentzian_round_trip(self):
-        x = np.linspace(-30e6, 30e6, 201)
-        y = 0.2 + 0.5 / (1.0 + 4.0 * (x / 6.0e6) ** 2)
-        fit = fit_lineshape(x, y, "lorentzian")
-        assert fit.fwhm == pytest.approx(6.0e6, rel=1e-3)
-        assert fit.center == pytest.approx(0.0, abs=1e3)
-        assert fit.rms_residual < 1e-9
-
-    def test_gaussian_round_trip(self):
-        fwhm = 522.0e6
-        x = np.linspace(-1.5e9, 1.5e9, 301)
-        y = 1.0 - 0.4 * np.exp(-4 * np.log(2) * (x / fwhm) ** 2)
-        fit = fit_lineshape(x, y, "gaussian")
-        assert fit.fwhm == pytest.approx(fwhm, rel=5e-3)
-        assert fit.amplitude == pytest.approx(-0.4, rel=1e-3)
-
-    def test_constant_segment(self):
-        x = np.linspace(0, 1e8, 64)
-        y = np.full_like(x, 0.7)
-        fit = fit_lineshape(x, y, "lorentzian")
-        assert fit.amplitude == 0.0
-        assert fit.offset == pytest.approx(0.7)
-        assert fit.rms_residual == pytest.approx(0.0, abs=1e-15)
-
-    def test_nonconvergence_reported(self):
-        rng = np.random.default_rng(0)
-        x = np.linspace(-1, 1, 64)
-        y = rng.normal(0, 1, 64)
-        with pytest.raises(FitConvergenceError):
-            fit_lineshape(x, y, "lorentzian", max_iterations=2)
-
-    def test_too_few_samples(self):
-        with pytest.raises(SweepError):
-            fit_lineshape(np.arange(5.0), np.arange(5.0), "lorentzian")
-
-    def test_unknown_model(self):
-        with pytest.raises(ValueError):
-            fit_lineshape(np.arange(10.0), np.arange(10.0), "voigt")
 
 
 class TestErrorSignal:
