@@ -13,7 +13,7 @@ and no wall-clock time enters any artifact, so reruns are byte-identical.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from importlib import resources
 from itertools import product
@@ -167,120 +167,68 @@ class ScenarioConfig:
         return sha256_16(repr(self))
 
 
-# --- config file schema: section -> (constructor, {file key -> field, caster}) ---
+# --- config file schema: section -> {file key -> (field, type)} ---
+# Each config dataclass held by a ScenarioConfig field is a section, and its
+# fields are the section's keys, cast by their annotations. A field that
+# defaults to None is resolved by the runner and is not a key. [lines] and
+# [sweep] fill plain ScenarioConfig fields.
 
-def _bool(text):
-    t = text.strip().lower()
-    if t in ("true", "yes", "on", "1"):
-        return True
-    if t in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+# Fields whose file key differs from the field name, mostly by a unit suffix.
+_FILE_KEYS = {
+    "temperature": "temperature_k",
+    "sigma_v": "detector_sigma_v",
+    "k_current": "k_current_hz_per_a",
+    "k_temp": "k_temp_hz_per_k",
+    "k_ctrl": "k_ctrl_a_per_v",
+    "linewidth": "linewidth_hz",
+    "mode_hop_span": "mode_hop_span_hz",
+    "drift_rate": "drift_rate_k_per_s",
+    "base_detuning": "base_detuning_hz",
+    "bias_current": "bias_current_a",
+    "temp_reference": "temp_reference_k",
+    "tau_thermal": "tau_thermal_s",
+    "frequency": "frequency_hz",
+    "span": "span_hz",
+    "offset": "offset_v",
+    "output_min": "output_min_v",
+    "output_max": "output_max_v",
+    "hold_time": "hold_time_s",
+    "loss_time": "loss_time_s",
+    "relock_delay": "relock_delay_s",
+    "sweep_time": "sweep_time_s",
+    "filter_time": "filter_time_s",
+}
 
-
-def _finite_float(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
-    return value
-
+_SECTIONS = {f.name: f.type for f in fields(ScenarioConfig) if is_dataclass(f.default)}
 
 _SCHEMA = {
     "lines": {"path": ("lines_path", str)},
-    "medium": {
-        "temperature_k": ("temperature", _finite_float),
-        "peak_optical_depth": ("peak_optical_depth", _finite_float),
-        "saturation_s": ("saturation_s", _finite_float),
-        "crossover_enhancement": ("crossover_enhancement", _finite_float),
-        "dip_contrast": ("dip_contrast", _finite_float),
-    },
     "sweep": {
-        "start_hz": ("start", _finite_float),
-        "stop_hz": ("stop", _finite_float),
+        "start_hz": ("start", float),
+        "stop_hz": ("stop", float),
         "samples": ("samples", int),
     },
-    "noise": {
-        "enabled": ("enabled", _bool),
-        "seed": ("seed", int),
-        "detector_sigma_v": ("sigma_v", _finite_float),
-    },
-    "markers": {
-        "manifold": ("manifold", str),
-        "window_margin_hz": ("window_margin_hz", _finite_float),
-        "hyperfine_feature": ("hyperfine_feature", str),
-        "crossover_feature": ("crossover_feature", str),
-    },
-    "plant": {
-        "k_current_hz_per_a": ("k_current", _finite_float),
-        "k_temp_hz_per_k": ("k_temp", _finite_float),
-        "k_ctrl_a_per_v": ("k_ctrl", _finite_float),
-        "linewidth_hz": ("linewidth", _finite_float),
-        "mode_hop_span_hz": ("mode_hop_span", _finite_float),
-        "drift_rate_k_per_s": ("drift_rate", _finite_float),
-        "base_detuning_hz": ("base_detuning", _finite_float),
-        "bias_current_a": ("bias_current", _finite_float),
-        "temp_reference_k": ("temp_reference", _finite_float),
-        "tau_thermal_s": ("tau_thermal", _finite_float),
-    },
-    "ramp": {
-        "frequency_hz": ("frequency", _finite_float),
-        "span_hz": ("span", _finite_float),
-        "shape": ("shape", str),
-        "enabled": ("enabled", _bool),
-    },
-    "pid": {
-        "kp": ("kp", _finite_float),
-        "ki": ("ki", _finite_float),
-        "kd": ("kd", _finite_float),
-        "offset_v": ("offset", _finite_float),
-        "output_min_v": ("output_min", _finite_float),
-        "output_max_v": ("output_max", _finite_float),
-        "derivative_smoothing": ("derivative_smoothing", int),
-    },
-    "lock": {
-        "target_feature": ("target_feature", str),
-        "mode": ("mode", str),
-        "polarity": ("polarity", str),
-        "lock_threshold_frac": ("lock_threshold_frac", _finite_float),
-        "loss_threshold_frac": ("loss_threshold_frac", _finite_float),
-        "hold_time_s": ("hold_time", _finite_float),
-        "loss_time_s": ("loss_time", _finite_float),
-        "relock_delay_s": ("relock_delay", _finite_float),
-        "sweep_time_s": ("sweep_time", _finite_float),
-        "filter_time_s": ("filter_time", _finite_float),
-    },
-    "run": {
-        "dt_s": ("dt_s", _finite_float),
-        "lock_duration_s": ("lock_duration_s", _finite_float),
-        "temp_step_k": ("temp_step_k", _finite_float),
-        "temp_step_time_s": ("temp_step_time_s", _finite_float),
-        "temp_step_duration_s": ("temp_step_duration_s", _finite_float),
-        "fluor_duration_s": ("fluor_duration_s", _finite_float),
-        "fluor_low_detuning_fwhm": ("fluor_low_detuning_fwhm", _finite_float),
-        "fluor_large_detuning_fwhm": ("fluor_large_detuning_fwhm", _finite_float),
-    },
-    "ingest": {
-        "time_column": ("time_column", str),
-        "reference_column": ("reference_column", str),
-        "probe_column": ("probe_column", str),
-        "differential_column": ("differential_column", str),
-        "feature_a": ("feature_a", str),
-        "feature_b": ("feature_b", str),
-        "known_separation_hz": ("known_separation_hz", _finite_float),
+    **{
+        section: {_FILE_KEYS.get(f.name, f.name): (f.name, f.type)
+                  for f in fields(cls) if f.default is not None}
+        for section, cls in _SECTIONS.items()
     },
 }
 
-_SECTION_BUILDERS = {
-    "medium": MediumConfig,
-    "noise": NoiseConfig,
-    "markers": MarkerConfig,
-    "plant": PlantConfig,
-    "ramp": RampConfig,
-    "pid": PidConfig,
-    "lock": LockConfig,
-    "run": RunConfig,
-    "ingest": IngestConfig,
-}
+
+def _cast(text, kind):
+    """The value of type `kind` (float, int, bool or str) that `text` spells."""
+    if kind is bool:
+        t = text.strip().lower()
+        if t in ("true", "yes", "on", "1"):
+            return True
+        if t in ("false", "no", "off", "0"):
+            return False
+        raise ValueError(f"not a boolean: {text!r}")
+    value = kind(text)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def parse_config(text, source="<string>") -> ScenarioConfig:
@@ -313,29 +261,23 @@ def parse_config(text, source="<string>") -> ScenarioConfig:
         key = key.strip()
         if key not in _SCHEMA[current]:
             raise ConfigError(f"{source}: line {lineno}: unknown key {key!r} in [{current}]")
-        field_name, caster = _SCHEMA[current][key]
+        field_name, kind = _SCHEMA[current][key]
         try:
-            sections[current][field_name] = caster(value.strip())
+            sections[current][field_name] = _cast(value.strip(), kind)
         except ValueError as exc:
             raise ConfigError(f"{source}: line {lineno}: bad value for {key!r}: {exc}") from None
     if not fmt_seen:
         raise ConfigError(f"{source}: missing format header")
 
-    kwargs = {}
-    if "lines" in sections:
-        kwargs["lines_path"] = sections["lines"].get("lines_path", "bundled")
+    kwargs = sections.pop("lines", {})
     if "sweep" in sections:
         s = sections["sweep"]
-        defaults = ScenarioConfig().sweep
-        kwargs["sweep"] = (
-            s.get("start", defaults[0]),
-            s.get("stop", defaults[1]),
-            s.get("samples", defaults[2]),
-        )
-    for section, ctor in _SECTION_BUILDERS.items():
+        start, stop, samples = ScenarioConfig.sweep
+        kwargs["sweep"] = (s.get("start", start), s.get("stop", stop), s.get("samples", samples))
+    for section, cls in _SECTIONS.items():
         if section in sections:
             try:
-                kwargs[section] = ctor(**sections[section])
+                kwargs[section] = cls(**sections[section])
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"{source}: invalid [{section}] section: {exc}") from None
 
@@ -528,7 +470,7 @@ def run_sweep_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None) ->
                          notes)
 
     census = subdoppler_extrema(trace, window)
-    expected_census = _expected_feature_count(table, cfg)
+    expected_census = len(manifold_features(table, *parse_manifold_name(cfg.markers.manifold)))
 
     measured["markers_v"] = {"A": markers.A, "B": markers.B, "C": markers.C, "D": markers.D}
     measured["subdoppler_feature_count"] = int(len(census))
@@ -550,11 +492,6 @@ def run_sweep_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None) ->
         )
 
     return _finalize(out_dir, fmt, "sweep", cfg, noise.seed, criteria, measured, artifacts, notes)
-
-
-def _expected_feature_count(table, cfg):
-    n = len(transitions(table, *parse_manifold_name(cfg.markers.manifold)))
-    return n + n * (n - 1) // 2
 
 
 def _phase_history(log: TimeSeriesLog):

@@ -19,9 +19,6 @@ from dataclasses import dataclass
 
 from .errors import ModeHopError
 
-# 0.1 mK per hour
-DEFAULT_DRIFT_RATE_K_PER_S = 0.1e-3 / 3600.0
-
 
 @dataclass(frozen=True)
 class PlantConfig:
@@ -30,7 +27,7 @@ class PlantConfig:
     k_ctrl: float = 1.0e-3        # A/V   (net k_ctrl*k_current = -1 GHz/V)
     linewidth: float = 0.5e6      # Hz, white-frequency-noise equivalent
     mode_hop_span: float = 30.0e9  # Hz, fault envelope around base detuning
-    drift_rate: float = DEFAULT_DRIFT_RATE_K_PER_S
+    drift_rate: float = 2.7777777777777776e-08  # K/s (0.1 mK/h), as default.cfg pins it
     base_detuning: float = 0.0    # Hz at bias current and reference temperature
     bias_current: float = 0.12    # A
     temp_reference: float = 312.65  # K
@@ -98,19 +95,24 @@ def ramp_waveform(t, r: RampConfig):
     return r.span / 2.0 - 2.0 * r.span * (phase - 0.5)
 
 
-def frequency_noise_sample(linewidth, dt, rng):
-    """One white-frequency-noise sample (Hz).
+def frequency_noise_sigma(linewidth, dt):
+    """Standard deviation (Hz) of one white-frequency-noise sample.
 
     The variance is linewidth / (2 pi dt): integrating white frequency
     noise of per-sample variance sigma^2 gives phase diffusion
     D = (2 pi)^2 sigma^2 dt and a Lorentzian line of FWHM D / (2 pi),
     so this choice reproduces the configured linewidth.
     """
+    return math.sqrt(linewidth / (2.0 * math.pi * dt))
+
+
+def frequency_noise_sample(linewidth, dt, rng):
+    """One white-frequency-noise sample (Hz) of `frequency_noise_sigma`."""
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if linewidth == 0:
         return 0.0
-    return rng.normal(0.0, math.sqrt(linewidth / (2.0 * math.pi * dt)))
+    return rng.normal(0.0, frequency_noise_sigma(linewidth, dt))
 
 
 def _plant_constants(cfg: PlantConfig, dt):

@@ -45,7 +45,7 @@ import numpy as np
 from .atomic_data import find_feature
 from .errors import ModeHopError, SaslockError, UnlockableError
 from .lineshape import saturation_broadened_width
-from .plant import _plant_constants, _plant_update
+from .plant import _plant_constants, _plant_update, frequency_noise_sigma
 from .spectrum import NoiseConfig, error_signal, synthesize_sweep, write_series_csv
 
 LOCKLOG_FORMAT_VERSION = "sas-locklog/1"
@@ -318,11 +318,9 @@ class LockConfig:
 @dataclass(frozen=True)
 class LockState:
     phase: str = "sweeping"
-    target_feature: str = ""
-    lock_point_detuning: float = float("nan")
     time_in_phase: float = 0.0
     qualify_time: float = 0.0   # time the transition condition has held
-    error_filter: float = None  # first-order filtered error, V
+    error_filter: float = 0.0   # first-order filtered error, V
 
 
 def _supervisor_law(pid_cfg: PidConfig, lock_cfg: LockConfig, dt, keep_window=True):
@@ -388,7 +386,7 @@ def lock_step(lock: LockState, pid: PidState, pid_cfg: PidConfig, lock_cfg: Lock
         lock.phase,
         lock.time_in_phase,
         lock.qualify_time,
-        0.0 if lock.error_filter is None else lock.error_filter,
+        lock.error_filter,
         astuple(pid),
         measurement["error"],
         measurement.get("force_lost", False),
@@ -396,8 +394,6 @@ def lock_step(lock: LockState, pid: PidState, pid_cfg: PidConfig, lock_cfg: Lock
     )
     new_lock = LockState(
         phase=phase,
-        target_feature=lock.target_feature,
-        lock_point_detuning=lock.lock_point_detuning,
         time_in_phase=time_in_phase,
         qualify_time=qualify,
         error_filter=filtered,
@@ -579,8 +575,7 @@ def closed_loop_run(
     plant_rng = np.random.default_rng(seq[0])
     meas_rng = np.random.default_rng(seq[1])
     if noise_enabled and plant_cfg.linewidth > 0:
-        plant_sigma = math.sqrt(plant_cfg.linewidth / (2.0 * math.pi * dt))
-        plant_noise = _normal_stream(plant_rng, plant_sigma, n)
+        plant_noise = _normal_stream(plant_rng, frequency_noise_sigma(plant_cfg.linewidth, dt), n)
     else:
         plant_noise = repeat(0.0, n)
     meas_sigma = detector_noise_v * math.sqrt(2.0) if noise_enabled else 0.0

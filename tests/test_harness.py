@@ -11,7 +11,9 @@ from hypothesis import HealthCheck, given, settings, strategies
 from saslock.cli import main as cli_main
 from saslock.errors import ConfigError, IngestError, SweepError
 from saslock.harness import (
+    _SCHEMA,
     IngestConfig,
+    ScenarioConfig,
     _top_peaks,
     default_config_path,
     ingest_scope_csv,
@@ -47,6 +49,26 @@ class TestConfigParsing:
     def test_default_config_loads(self, default_cfg):
         assert default_cfg.medium.saturation_s == 2.0
         assert default_cfg.lock.target_feature == "Rb87:F2->co(2,3)"
+
+    def test_default_config_equals_class_defaults(self, default_cfg):
+        assert default_cfg == ScenarioConfig()
+
+    def test_schema_keys_match_bundled_file(self):
+        # Adding a field to a config class adds a key; the bundled file must
+        # then gain it too.
+        pairs, section = set(), None
+        for line in DEFAULT_TEXT.splitlines():
+            if line.startswith("["):
+                section = line[1:-1]
+            elif section and "=" in line:
+                pairs.add((section, line.partition("=")[0]))
+        assert {(s, key) for s, keys in _SCHEMA.items() for key in keys} == pairs
+
+    @pytest.mark.parametrize("key", ["escape_span_hz", "lock_threshold_v", "loss_threshold_v"])
+    def test_run_time_lock_field_is_not_a_key(self, key):
+        text = patched_config(**{"filter_time_s=0.005": f"filter_time_s=0.005\n{key}=1.0"})
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[lock\\]"):
+            parse_config(text)
 
     def test_missing_format_header(self):
         with pytest.raises(ConfigError, match="format"):
@@ -191,6 +213,24 @@ class TestConfigParsing:
         key, value = new.split("=")
         message = rf"line \d+: bad value for '{key}': not a finite number: '{value}'"
         with pytest.raises(ConfigError, match=message):
+            parse_config(patched_config(**{old: new}))
+
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), ("Yes", True), ("on", True), ("1", True),
+        ("false", False), ("NO", False), ("off", False), ("0", False),
+    ])
+    def test_boolean_spellings(self, text, value):
+        cfg = parse_config(patched_config(**{"enabled=true": f"enabled={text}"}))
+        assert cfg.noise.enabled is value and cfg.ramp.enabled is value
+
+    @pytest.mark.parametrize("patch, message", [
+        (("enabled=true", "enabled=maybe"), "bad value for 'enabled': not a boolean: 'maybe'"),
+        (("samples=4096", "samples=4096.0"), "bad value for 'samples': invalid literal for int"),
+        (("seed=20240917", "seed=2e7"), "bad value for 'seed': invalid literal for int"),
+    ])
+    def test_badly_typed_value_rejected(self, patch, message):
+        old, new = patch
+        with pytest.raises(ConfigError, match=rf"line \d+: {re.escape(message)}"):
             parse_config(patched_config(**{old: new}))
 
     def test_bad_value_reports_line(self):
@@ -388,6 +428,76 @@ class TestFluorescenceExperiment:
     def test_monotone_decrease(self, fluorescence_run):
         report, _ = fluorescence_run
         assert {c.name: c for c in report.criteria}["monotone_decrease"].passed
+
+
+def locked_samples(csv_path):
+    """Times and locked flags of the samples of a written time-series CSV."""
+    lines = [ln for ln in csv_path.read_text().splitlines() if not ln.startswith("#")]
+    header, rows = lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+    t, phase = header.index("t_s"), header.index("phase")
+    return (np.array([float(r[t]) for r in rows]),
+            np.array([r[phase] == "locked" for r in rows], dtype=bool))
+
+
+def assert_window_covered(report, judged, name, csv_path, window, window_s, dt):
+    """A report that judges the criterion `judged` over a window either
+    fails the criterion `name` or saw locked samples over all of the window,
+    recounted from its time series."""
+    by_name = {c.name: c for c in report.criteria}
+    if judged not in by_name:
+        assert not report.passed
+        return
+    t, locked = locked_samples(csv_path)
+    covered = np.count_nonzero(locked & window(t))
+    assert (name in by_name) == (covered < round(window_s / dt))
+    if name in by_name:
+        assert not by_name[name].passed and not report.passed
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    dt_s=strategies.floats(1e-4, 4e-4),
+    lock_s=strategies.floats(0.02, 1.3),
+    fluor_s=strategies.floats(0.02, 0.3),
+    step_duration_s=strategies.floats(0.05, 1.2),
+    step_frac=strategies.floats(0.0, 1.0),
+)
+def test_windowed_criteria_see_their_whole_window(tmp_path, dt_s, lock_s, fluor_s,
+                                                  step_duration_s, step_frac):
+    # Coarse steps and short runs: a criterion over a window of lock must
+    # not pass on part of it.
+    try:
+        cfg = parse_config(patched_config(**{
+            "dt_s=1.0e-4": f"dt_s={dt_s!r}",
+            "lock_duration_s=1.2": f"lock_duration_s={lock_s!r}",
+            "fluor_duration_s=0.3": f"fluor_duration_s={fluor_s!r}",
+            "temp_step_duration_s=13.0": f"temp_step_duration_s={step_duration_s!r}",
+            "temp_step_time_s=1.0": f"temp_step_time_s={step_frac * step_duration_s!r}",
+        }))
+    except ConfigError:
+        return
+    report = run_lock_experiment(cfg, tmp_path / "lock")
+    assert_window_covered(report, "post_lock_rms_error", "post_lock_window",
+                          tmp_path / "lock" / "lock_timeseries.csv",
+                          lambda t: t >= t[-1] - 1.0, 1.0, dt_s)
+
+    t_step = cfg.run.temp_step_time_s
+    report = run_temp_step_experiment(cfg, tmp_path / "step")
+    csv_path = tmp_path / "step" / "temp_step_timeseries.csv"
+    assert_window_covered(report, "delta_control", "pre_step_window", csv_path,
+                          lambda t: (t >= t_step - 0.5) & (t < t_step), 0.5, dt_s)
+    assert_window_covered(report, "delta_control", "post_step_window", csv_path,
+                          lambda t: t >= t[-1] - 0.5, 0.5, dt_s)
+
+    # The fluorescence run writes no time series; the lock run of the same
+    # duration is the same closed loop, and writes it.
+    report = run_fluorescence_experiment(cfg, tmp_path / "fluor")
+    run_lock_experiment(replace(cfg, run=replace(cfg.run, lock_duration_s=fluor_s)),
+                        tmp_path / "fluor")
+    assert_window_covered(report, "locked_brightness", "steady_window",
+                          tmp_path / "fluor" / "lock_timeseries.csv",
+                          lambda t: t >= t[-1] - 0.1, 0.1, dt_s)
 
 
 class TestIngest:
