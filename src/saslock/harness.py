@@ -39,13 +39,13 @@ from .errors import (
 )
 from .plant import PlantConfig, RampConfig
 from .servo import (
-    ERROR_MAP_MARGIN_HZ,
-    ERROR_MAP_STEP_HZ,
+    LEGAL_TRANSITIONS,
     Disturbances,
     LockConfig,
     PidConfig,
     TimeSeriesLog,
     closed_loop_run,
+    error_map_extent,
     write_locklog_csv,
 )
 from .spectrum import (
@@ -310,7 +310,7 @@ def validate_config(cfg: ScenarioConfig, source="<config>"):
         raise ConfigError(f"{source}: sweep bounds inverted: [{start}, {stop}]")
     if not 16 <= int(n) <= MAX_SWEEP_SAMPLES:
         raise ConfigError(f"{source}: sweep needs 16 to {MAX_SWEEP_SAMPLES} samples, got {n}")
-    map_samples = (cfg.ramp.span + 2 * ERROR_MAP_MARGIN_HZ) / ERROR_MAP_STEP_HZ
+    map_lo, map_hi, map_samples = error_map_extent(cfg.plant, cfg.ramp)
     if map_samples > MAX_SWEEP_SAMPLES:
         raise ConfigError(
             f"{source}: ramp span_hz={cfg.ramp.span!r} needs an error map of "
@@ -330,11 +330,16 @@ def validate_config(cfg: ScenarioConfig, source="<config>"):
         table = cfg.load_table()
         hyperfine = find_feature(table, cfg.markers.hyperfine_feature)
         crossover = find_feature(table, cfg.markers.crossover_feature)
-        for name in (cfg.lock.target_feature, cfg.ingest.feature_a, cfg.ingest.feature_b):
+        target = find_feature(table, cfg.lock.target_feature)
+        for name in (cfg.ingest.feature_a, cfg.ingest.feature_b):
             find_feature(table, name)
         manifold_window(table, cfg)
     except (LineDataError, UnknownFeatureError, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{source}: {exc}") from None
+    if not map_lo <= target.detuning <= map_hi:  # the map's axis ends at exactly these
+        raise ConfigError(f"{source}: [lock] target_feature {cfg.lock.target_feature!r} at "
+                          f"{target.detuning / 1e6:.1f} MHz lies outside the error map "
+                          f"[{map_lo!r}, {map_hi!r}] Hz")
     if hyperfine.is_crossover:
         raise ConfigError(f"{source}: [markers] hyperfine_feature must name a direct line, "
                           f"got {cfg.markers.hyperfine_feature!r}")
@@ -494,14 +499,21 @@ def run_sweep_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None) ->
     return _finalize(out_dir, fmt, "sweep", cfg, noise.seed, criteria, measured, artifacts, notes)
 
 
-def _phase_history(log: TimeSeriesLog):
-    history = []
-    prev = None
-    for i, p in enumerate(log.phase):
-        if p != prev:
-            history.append({"phase": p, "t_s": float(log.t[i])})
-            prev = p
-    return history
+_PHASE_CODES = {phase: code for code, phase in enumerate(LEGAL_TRANSITIONS)}
+
+
+def _phases(log: TimeSeriesLog):
+    """(locked, history) of a run: locked[i] is true where sample i is in the
+    locked phase, and history gives each run of one phase as {"phase", "t_s"}.
+
+    log.phase is read once, into one int8 code per sample.
+    """
+    codes = np.fromiter(map(_PHASE_CODES.__getitem__, log.phase), dtype=np.int8,
+                        count=len(log.phase))
+    names = list(_PHASE_CODES)
+    history = [{"phase": names[codes[i]], "t_s": float(log.t[i])}
+               for i in np.flatnonzero(np.diff(codes, prepend=-1))]
+    return codes == _PHASE_CODES["locked"], history
 
 
 def _run_closed_loop(cfg, seed, duration, disturbances=Disturbances()):
@@ -529,20 +541,20 @@ def run_lock_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None) -> 
 
     artifacts = _write_locklog(log, out_dir, "lock_timeseries")
 
+    locked, history = _phases(log)
     criteria = []
     measured = {
         "pre_lock_error_peak_v": log.meta["pre_lock_error_peak_v"],
         "lock_point_hz": log.meta["lock_point_hz"],
-        "phase_history": _phase_history(log),
+        "phase_history": history,
     }
-    locked_mask = np.asarray([p == "locked" for p in log.phase])
-    final_locked = len(log.phase) > 0 and log.phase[-1] == "locked"
+    final_locked = len(locked) > 0 and bool(locked[-1])
     criteria.append(
         Criterion("lock_achieved", final_locked, float(final_locked), "final phase locked")
     )
     completed = _check_completed(log, criteria, measured)
-    if completed and final_locked and locked_mask.any():
-        window = locked_mask & (log.t >= log.t[-1] - 1.0)
+    if completed and final_locked:
+        window = locked & (log.t >= log.t[-1] - 1.0)
         rms = float(np.sqrt(np.mean(log.error[window] ** 2)))
         peak = log.meta["pre_lock_error_peak_v"]
         ctrl = log.control[window]
@@ -550,32 +562,16 @@ def run_lock_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None) -> 
         full_scale = cfg.pid.output_max - cfg.pid.output_min
         drift = float(ctrl[-1] - ctrl[0])
         measured.update(
-            {
-                "post_lock_rms_error_v": rms,
-                "post_lock_rms_error_frac_of_peak": rms / peak,
-                "post_lock_control_pkpk_v": pkpk,
-                "post_lock_control_drift_v": drift,
-            }
+            post_lock_rms_error_v=rms,
+            post_lock_rms_error_frac_of_peak=rms / peak,
+            post_lock_control_pkpk_v=pkpk,
+            post_lock_control_drift_v=drift,
         )
-        criteria.append(
-            Criterion(
-                "post_lock_rms_error",
-                rms < 0.02 * peak,
-                rms / peak * 100.0,
-                "< 2% of pre-lock error peak",
-                "%",
-            )
-        )
-        criteria.append(
-            Criterion(
-                "post_lock_control_stability",
-                pkpk < 0.01 * full_scale,
-                pkpk / full_scale * 100.0,
-                "< 1% of full scale over 1 s",
-                "%",
-            )
-        )
-        _check_window(criteria, "post_lock_window", int(window.sum()), 1.0, cfg.run.dt_s)
+        criteria.append(Criterion("post_lock_rms_error", rms < 0.02 * peak, rms / peak * 100.0,
+                                  "< 2% of pre-lock error peak", "%"))
+        criteria.append(Criterion("post_lock_control_stability", pkpk < 0.01 * full_scale,
+                                  pkpk / full_scale * 100.0, "< 1% of full scale over 1 s", "%"))
+        _check_window(criteria, "post_lock_window", window, 1.0, cfg.run.dt_s)
     return _finalize(out_dir, fmt, "lock", cfg, seed, criteria, measured, artifacts)
 
 
@@ -588,11 +584,12 @@ def run_temp_step_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None
 
     artifacts = _write_locklog(log, out_dir, "temp_step_timeseries")
 
+    locked, history = _phases(log)
     criteria = []
-    measured = {"phase_history": _phase_history(log), "temp_step_k": cfg.run.temp_step_k}
+    measured = {"phase_history": history, "temp_step_k": cfg.run.temp_step_k}
 
     step_idx = int(np.searchsorted(log.t, t_step))
-    locked_before = step_idx > 0 and log.phase[step_idx - 1] == "locked"
+    locked_before = step_idx > 0 and bool(locked[step_idx - 1])
     criteria.append(
         Criterion("locked_before_step", locked_before, float(locked_before), "locked at step time")
     )
@@ -600,60 +597,48 @@ def run_temp_step_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None
     if not (locked_before and completed):
         return _finalize(out_dir, fmt, "temp_step", cfg, seed, criteria, measured, artifacts)
 
-    lock_point = log.meta["lock_point_hz"]
-    held = log.phase[-1] == "locked"
+    held = bool(locked[-1])
     criteria.append(Criterion("lock_held", held, float(held), "locked at end of run"))
 
-    pre = (log.t >= t_step - 0.5) & (log.t < t_step)
-    post = log.t >= log.t[-1] - 0.5
-    delta_v = float(np.mean(log.control[post]) - np.mean(log.control[pre]))
+    # pre holds at least the locked sample before the step; post is empty
+    # when the lock was lost for all of the last 0.5 s.
+    pre = locked & (log.t >= t_step - 0.5) & (log.t < t_step)
+    post = locked & (log.t >= log.t[-1] - 0.5)
+    if post.any():
+        lock_point = log.meta["lock_point_hz"]
+        delta_v = float(np.mean(log.control[post]) - np.mean(log.control[pre]))
+        net_gain = cfg.plant.k_ctrl * cfg.plant.k_current
+        expected_v = -cfg.run.temp_step_k * cfg.plant.k_temp / net_gain
 
-    net_gain = cfg.plant.k_ctrl * cfg.plant.k_current
-    expected_v = -cfg.run.temp_step_k * cfg.plant.k_temp / net_gain
-    measured["delta_control_v"] = delta_v
-    measured["expected_delta_control_v"] = expected_v
+        after = log.t >= t_step
+        resettle_band = 0.5e6
+        smooth_dev = np.abs(
+            moving_average(log.detuning[after] - lock_point, odd_window(0.01 / cfg.run.dt_s))
+        )
+        outside = np.nonzero(smooth_dev > resettle_band)[0]
+        final_offset = float(np.mean(log.detuning[post]) - lock_point)
+        measured.update(
+            delta_control_v=delta_v,
+            expected_delta_control_v=expected_v,
+            max_detuning_excursion_hz=float(np.max(np.abs(log.detuning[after] - lock_point))),
+            resettle_time_s=float(log.t[after][outside[-1]] - t_step) if len(outside) else 0.0,
+            final_detuning_offset_hz=final_offset,
+        )
 
-    after = log.t >= t_step
-    excursion = float(np.max(np.abs(log.detuning[after] - lock_point)))
-    resettle_band = 0.5e6
-    smooth_dev = np.abs(
-        moving_average(log.detuning[after] - lock_point, odd_window(0.01 / cfg.run.dt_s))
-    )
-    outside = np.nonzero(smooth_dev > resettle_band)[0]
-    resettle_time = float(log.t[after][outside[-1]] - t_step) if len(outside) else 0.0
-    final_offset = float(np.mean(log.detuning[post]) - lock_point)
-    measured.update(
-        {
-            "max_detuning_excursion_hz": excursion,
-            "resettle_time_s": resettle_time,
-            "final_detuning_offset_hz": final_offset,
-        }
-    )
-
-    if expected_v == 0:
-        tol = 0.02 * abs(cfg.plant.k_temp * 0.1 / net_gain)  # noise floor for a zero step
-        criteria.append(
-            Criterion("delta_control", abs(delta_v) < tol, delta_v, f"|dV| < {tol:.3g}", "V")
-        )
-    else:
-        ok = abs(delta_v - expected_v) <= 0.02 * abs(expected_v)
-        criteria.append(
-            Criterion("delta_control", ok, delta_v, f"{expected_v:.4g} V +/- 2%", "V")
-        )
-    criteria.append(
-        Criterion(
-            "detuning_resettled",
-            abs(final_offset) < resettle_band,
-            final_offset,
-            "|offset| < 0.5 MHz",
-            "Hz",
-        )
-    )
-    for name, window in (("pre_step_window", pre), ("post_step_window", post)):
-        # Each window is one run of samples from its first.
-        start = int(np.argmax(window))
-        covered = log.phase[start:start + int(window.sum())].count("locked")
-        _check_window(criteria, name, covered, 0.5, cfg.run.dt_s)
+        if expected_v == 0:
+            tol = 0.02 * abs(cfg.plant.k_temp * 0.1 / net_gain)  # noise floor for a zero step
+            criteria.append(
+                Criterion("delta_control", abs(delta_v) < tol, delta_v, f"|dV| < {tol:.3g}", "V")
+            )
+        else:
+            ok = abs(delta_v - expected_v) <= 0.02 * abs(expected_v)
+            criteria.append(
+                Criterion("delta_control", ok, delta_v, f"{expected_v:.4g} V +/- 2%", "V")
+            )
+        criteria.append(Criterion("detuning_resettled", abs(final_offset) < resettle_band,
+                                  final_offset, "|offset| < 0.5 MHz", "Hz"))
+    _check_window(criteria, "pre_step_window", pre, 0.5, cfg.run.dt_s)
+    _check_window(criteria, "post_step_window", post, 0.5, cfg.run.dt_s)
     return _finalize(out_dir, fmt, "temp_step", cfg, seed, criteria, measured, artifacts)
 
 
@@ -673,15 +658,18 @@ def run_fluorescence_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=N
     fwhm = isotope_doppler_fwhm(table, cfg.medium, feature.isotope)
 
     log = _run_closed_loop(cfg, seed, cfg.run.fluor_duration_s)
-    locked_mask = np.asarray([p == "locked" for p in log.phase])
-    locked = bool(locked_mask.any())
+    locked, _ = _phases(log)
     criteria, measured = [], {}
-    if not locked:
+    if not locked.any():
         criteria.append(Criterion("lock_achieved", False, 0.0, "locked during run"))
-    if not (_check_completed(log, criteria, measured) and locked):
+    if not (_check_completed(log, criteria, measured) and locked.any()):
         return _finalize(out_dir, fmt, "fluorescence", cfg, seed, criteria, measured, [])
 
-    steady = locked_mask & (log.t >= log.t[-1] - 0.1)
+    steady = locked & (log.t >= log.t[-1] - 0.1)
+    if not steady.any():
+        # Lost for all of the last 0.1 s: no locked detuning to average.
+        _check_window(criteria, "steady_window", steady, 0.1, cfg.run.dt_s)
+        return _finalize(out_dir, fmt, "fluorescence", cfg, seed, criteria, measured, [])
     delta_locked = abs(float(np.mean(log.detuning[steady])) - log.meta["lock_point_hz"])
     delta_low = cfg.run.fluor_low_detuning_fwhm * fwhm
     delta_large = cfg.run.fluor_large_detuning_fwhm * fwhm
@@ -703,28 +691,24 @@ def run_fluorescence_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=N
     }
     criteria = [
         Criterion("locked_brightness", f_locked >= 0.99, f_locked, ">= 0.99"),
-        Criterion(
-            "half_width_brightness",
-            abs(f_low - 0.5) <= 0.005,
-            f_low,
-            "0.5 +/- 1% at half-FWHM offset",
-        ),
+        Criterion("half_width_brightness", abs(f_low - 0.5) <= 0.005, f_low,
+                  "0.5 +/- 1% at half-FWHM offset"),
         Criterion("large_detuning_dark", f_large < 1e-10, f_large, "< 1e-10 at 3 FWHM"),
-        Criterion(
-            "monotone_decrease", strictly_decreasing, float(strictly_decreasing), "F strictly decreasing in |delta|"
-        ),
+        Criterion("monotone_decrease", strictly_decreasing, float(strictly_decreasing),
+                  "F strictly decreasing in |delta|"),
     ]
-    _check_window(criteria, "steady_window", int(steady.sum()), 0.1, cfg.run.dt_s)
+    _check_window(criteria, "steady_window", steady, 0.1, cfg.run.dt_s)
     return _finalize(out_dir, fmt, "fluorescence", cfg, seed, criteria, measured, [])
 
 
-def _check_window(criteria, name, covered, window_s, dt):
+def _check_window(criteria, name, window, window_s, dt):
     """Fail a report whose criteria over a window of lock saw less of it.
 
-    `covered` counts the locked samples inside the window; at the step dt
+    `window` masks the locked samples inside the window; at the step dt
     they must cover it. Like run_completed, the criterion is added only
     when it fails.
     """
+    covered = int(np.count_nonzero(window))
     if covered < round(window_s / dt):
         criteria.append(Criterion(name, False, covered * dt,
                                   f"locked samples cover {window_s} s", "s"))

@@ -15,8 +15,7 @@ simulator, each with peak value ``amp`` at ``nu0`` and FWHM ``fwhm``:
 
   the thermal velocity distribution of the vapor.
 
-``spectrum`` builds its optical depth, bleaching dips and fit models from
-them. The public profiles are the kernels at fixed amplitudes:
+``spectrum`` builds its optical depth and bleaching dips from them. The public profiles are the kernels at fixed amplitudes:
 ``lorentzian`` is peak-normalized (amp = 1) and ``doppler_gaussian`` is
 area-normalized (amp = 2 sqrt(ln 2) / (sqrt(pi) dnuD), unit integral).
 The normalization asymmetry is intentional; all amplitude scaling of

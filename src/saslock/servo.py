@@ -456,12 +456,30 @@ def resolve_thresholds(lock_cfg: LockConfig, lock_point: LockPoint, dip_fwhm_hz)
     )
 
 
+def _swept_span(plant_cfg, ramp_cfg):
+    """The detuning range (lo, hi) the ramp sweeps: base_detuning +- span / 2."""
+    return (plant_cfg.base_detuning - ramp_cfg.span / 2.0,
+            plant_cfg.base_detuning + ramp_cfg.span / 2.0)
+
+
+def error_map_extent(plant_cfg, ramp_cfg):
+    """(lo, hi, samples) of the error map: the swept span and a margin.
+
+    samples, at least 64, is a float that build_error_map floors, so that a
+    cap is checked on it before int() of an infinite count could overflow.
+    """
+    lo, hi = _swept_span(plant_cfg, ramp_cfg)
+    lo, hi = lo - ERROR_MAP_MARGIN_HZ, hi + ERROR_MAP_MARGIN_HZ
+    return lo, hi, max(64.0, (hi - lo) / ERROR_MAP_STEP_HZ)
+
+
 def build_error_map(table, medium, plant_cfg, ramp_cfg, lock_cfg):
-    """Noise-free conditioned error vs detuning over the ramp-covered range."""
-    lo = plant_cfg.base_detuning - ramp_cfg.span / 2.0 - ERROR_MAP_MARGIN_HZ
-    hi = plant_cfg.base_detuning + ramp_cfg.span / 2.0 + ERROR_MAP_MARGIN_HZ
-    n = max(64, int((hi - lo) / ERROR_MAP_STEP_HZ))
-    trace = synthesize_sweep(table, medium, (lo, hi, n), NoiseConfig(enabled=False))
+    """Noise-free conditioned error vs detuning over the ramp-covered range.
+
+    Returns (axis, error, lock point, dip FWHM, peak |error| over the swept span).
+    """
+    lo, hi, samples = error_map_extent(plant_cfg, ramp_cfg)
+    trace = synthesize_sweep(table, medium, (lo, hi, int(samples)), NoiseConfig(enabled=False))
 
     feature = find_feature(table, lock_cfg.target_feature)
     dip_fwhm = saturation_broadened_width(feature.gamma_natural, medium.saturation_s)
@@ -472,7 +490,10 @@ def build_error_map(table, medium, plant_cfg, ramp_cfg, lock_cfg):
     curve = conditioned_error_curve(
         trace, lock_cfg.mode, scale, required_offset=lock_point.required_offset
     )
-    return trace.detuning_axis, curve, lock_point, dip_fwhm
+    axis = trace.detuning_axis
+    swept_lo, swept_hi = _swept_span(plant_cfg, ramp_cfg)
+    pre_lock_error_peak = float(np.abs(curve[(axis >= swept_lo) & (axis <= swept_hi)]).max())
+    return axis, curve, lock_point, dip_fwhm, pre_lock_error_peak
 
 
 # Noise is drawn this many steps at a time: a Generator gives the same
@@ -553,7 +574,7 @@ def closed_loop_run(
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
 
-    map_axis, curve, lock_point, dip_fwhm = build_error_map(
+    map_axis, curve, lock_point, dip_fwhm, pre_lock_error_peak = build_error_map(
         table, medium, plant_cfg, ramp_cfg, lock_cfg
     )
     lock_cfg = resolve_thresholds(lock_cfg, lock_point, dip_fwhm)
@@ -564,11 +585,6 @@ def closed_loop_run(
     polarity = -math.copysign(1.0, net_gain * lock_point.slope)
     if lock_cfg.polarity == "-1":
         polarity = -polarity
-
-    sweep_lo = plant_cfg.base_detuning - ramp_cfg.span / 2.0
-    sweep_hi = plant_cfg.base_detuning + ramp_cfg.span / 2.0
-    swept = (map_axis >= sweep_lo) & (map_axis <= sweep_hi)
-    pre_lock_error_peak = float(np.abs(curve[swept]).max())
 
     n = int(round(duration / dt))
     seq = np.random.SeedSequence(seed).spawn(2)

@@ -25,10 +25,10 @@ per manifold (crossover strengths already include their enhancement, so
 strong crossovers bleach more than any direct line, as observed in real Rb
 spectra).
 
-Channels: reference = gain * exp(-OD), probe = gain * exp(-probe OD),
-differential = probe - reference. Detector gain is 1 V at full
-transmission; optional additive white Gaussian noise uses independent
-streams for the two detectors, both spawned from one seed.
+Channels: reference = exp(-OD), probe = exp(-probe OD), differential =
+probe - reference, in volts: detector gain is 1 V at full transmission.
+Optional additive white Gaussian noise uses independent streams for the
+two detectors, both spawned from one seed.
 """
 
 import hashlib
@@ -250,9 +250,8 @@ def synthesize_sweep(
     od = _doppler_od(table, medium, nu, scale)
     bleach = np.clip(1.0 - _bleach_dips(table, medium, nu), 0.0, None)
 
-    gain = 1.0
-    reference = gain * np.exp(-od)
-    probe = gain * np.exp(-od * bleach)
+    reference = np.exp(-od)
+    probe = np.exp(-od * bleach)
 
     if noise.enabled and noise.sigma_v > 0:
         streams = np.random.SeedSequence(noise.seed).spawn(2)

@@ -2,11 +2,12 @@
 
 import json
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies
+from hypothesis import HealthCheck, example, given, settings, strategies
 
 from saslock.cli import main as cli_main
 from saslock.errors import ConfigError, IngestError, SweepError
@@ -14,6 +15,7 @@ from saslock.harness import (
     _SCHEMA,
     IngestConfig,
     ScenarioConfig,
+    _phases,
     _top_peaks,
     default_config_path,
     ingest_scope_csv,
@@ -24,6 +26,12 @@ from saslock.harness import (
     run_lock_experiment,
     run_sweep_experiment,
     run_temp_step_experiment,
+)
+from saslock.servo import (
+    LEGAL_TRANSITIONS,
+    TimeSeriesLog,
+    closed_loop_run,
+    validate_phase_sequence,
 )
 from saslock.spectrum import (
     NoiseConfig,
@@ -137,6 +145,16 @@ class TestConfigParsing:
         # sweep_time_s=0.004 needs 10 steps: 2 steps, and 9.999999999999998
         ("dt_s=1.0e-4", "dt_s=0.5"),
         ("dt_s=1.0e-4", "dt_s=0.0004000000000000001"),
+        # the lock target must lie on the error map, base_detuning_hz +-
+        # (span_hz / 2 + 50 MHz); at 1e26 the map's two ends round together
+        ("base_detuning_hz=5.0e8", "base_detuning_hz=1e20"),
+        ("base_detuning_hz=5.0e8", "base_detuning_hz=1e26"),
+        ("base_detuning_hz=5.0e8", "base_detuning_hz=3.0e9"),
+        ("base_detuning_hz=5.0e8", "base_detuning_hz=1e308"),
+        ("base_detuning_hz=5.0e8", "base_detuning_hz=-1e308"),
+        # huge finite extents are compared with the cap before int()
+        ("span_hz=3.0e9", "span_hz=1e308"),
+        ("span_hz=3.0e9", "span_hz=1.7e308"),
     ])
     def test_out_of_range_value_rejected(self, patch):
         old, new = patch
@@ -390,6 +408,45 @@ class TestTempStepExperiment:
         assert "post_step_window" not in by_name
         assert not report.passed
 
+    def test_step_means_average_locked_samples(self, default_cfg, tmp_path):
+        # The config of test_step_before_a_locked_window_fails: the pre-step
+        # window also holds samples from before the lock.
+        cfg = replace(
+            default_cfg,
+            run=replace(default_cfg.run, temp_step_k=0.0, temp_step_time_s=0.3,
+                        temp_step_duration_s=1.5),
+        )
+        report = run_temp_step_experiment(cfg, tmp_path)
+        meta, columns = read_locklog(tmp_path / "temp_step_timeseries.csv")
+        t, locked = locked_samples(tmp_path / "temp_step_timeseries.csv")
+        control = np.array([float(v) for v in columns["control_v"]])
+        detuning = np.array([float(v) for v in columns["detuning_hz"]])
+        pre = locked & (t >= 0.3 - 0.5) & (t < 0.3)
+        post = locked & (t >= t[-1] - 0.5)
+        assert 0 < np.count_nonzero(pre) < np.count_nonzero(t < 0.3)
+        assert report.measured["delta_control_v"] == np.mean(control[post]) - np.mean(control[pre])
+        assert report.measured["final_detuning_offset_hz"] == (
+            np.mean(detuning[post]) - float(meta["lock_point_hz"]))
+
+    def test_lock_lost_for_the_post_step_window(self, default_cfg, tmp_path):
+        # A 0.5 K step rails the control, and the lock is lost for good well
+        # before the last 0.5 s: there is no locked sample to average.
+        cfg = replace(
+            default_cfg,
+            run=replace(default_cfg.run, temp_step_k=0.5, temp_step_time_s=0.3,
+                        temp_step_duration_s=1.2),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_temp_step_experiment(cfg, tmp_path)
+        by_name = {c.name: c for c in report.criteria}
+        assert list(by_name) == ["locked_before_step", "lock_held", "pre_step_window",
+                                 "post_step_window"]
+        assert not by_name["lock_held"].passed
+        assert by_name["post_step_window"].measured == 0.0
+        assert "delta_control_v" not in report.measured
+        assert not report.passed
+
     def test_resettle_metrics_present(self, temp_step_pos):
         report, _ = temp_step_pos
         assert report.measured["max_detuning_excursion_hz"] < 2.0e6
@@ -425,18 +482,41 @@ class TestFluorescenceExperiment:
         assert 0.0 < by_name["steady_window"].measured < 0.1
         assert not report.passed
 
+    def test_lock_lost_for_the_steady_window(self, default_cfg, tmp_path):
+        # With the polarity flipped the loop locks for one sample at a time;
+        # at 0.25 s the last of these falls before the last 0.1 s.
+        cfg = replace(
+            default_cfg,
+            lock=replace(default_cfg.lock, polarity="-1"),
+            run=replace(default_cfg.run, fluor_duration_s=0.25),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_fluorescence_experiment(cfg, tmp_path)
+        assert [(c.name, c.passed, c.measured) for c in report.criteria] == [
+            ("steady_window", False, 0.0)]
+        assert report.measured == {}
+        assert not report.passed
+
     def test_monotone_decrease(self, fluorescence_run):
         report, _ = fluorescence_run
         assert {c.name: c for c in report.criteria}["monotone_decrease"].passed
 
 
+def read_locklog(csv_path):
+    """The metadata and the columns of a written time-series CSV, as text."""
+    lines = csv_path.read_text().splitlines()
+    meta = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("# "))
+    lines = [ln for ln in lines if not ln.startswith("#")]
+    header, rows = lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+    return meta, {name: [r[i] for r in rows] for i, name in enumerate(header)}
+
+
 def locked_samples(csv_path):
     """Times and locked flags of the samples of a written time-series CSV."""
-    lines = [ln for ln in csv_path.read_text().splitlines() if not ln.startswith("#")]
-    header, rows = lines[0].split(","), [ln.split(",") for ln in lines[1:]]
-    t, phase = header.index("t_s"), header.index("phase")
-    return (np.array([float(r[t]) for r in rows]),
-            np.array([r[phase] == "locked" for r in rows], dtype=bool))
+    _, columns = read_locklog(csv_path)
+    return (np.array([float(v) for v in columns["t_s"]]),
+            np.array([p == "locked" for p in columns["phase"]], dtype=bool))
 
 
 def assert_window_covered(report, judged, name, csv_path, window, window_s, dt):
@@ -498,6 +578,57 @@ def test_windowed_criteria_see_their_whole_window(tmp_path, dt_s, lock_s, fluor_
     assert_window_covered(report, "locked_brightness", "steady_window",
                           tmp_path / "fluor" / "lock_timeseries.csv",
                           lambda t: t >= t[-1] - 0.1, 0.1, dt_s)
+
+
+def reference_phases(log):
+    """The locked flags and phase history of a log, by a loop over its samples."""
+    history, prev = [], None
+    for i, p in enumerate(log.phase):
+        if p != prev:
+            history.append({"phase": p, "t_s": float(log.t[i])})
+            prev = p
+    return [p == "locked" for p in log.phase], history
+
+
+def assert_phase_pass_matches_reference(log):
+    locked, history = _phases(log)
+    expected_locked, expected_history = reference_phases(log)
+    assert locked.dtype == bool and locked.tolist() == expected_locked
+    assert history == expected_history
+
+
+@strategies.composite
+def legal_phase_sequences(draw):
+    """Phase logs that follow LEGAL_TRANSITIONS from any first phase (a run
+    may start locked)."""
+    n = draw(strategies.integers(0, 60))
+    phases = [draw(strategies.sampled_from(list(LEGAL_TRANSITIONS)))][:n]
+    for _ in range(n - 1):
+        phases.append(draw(strategies.sampled_from(LEGAL_TRANSITIONS[phases[-1]])))
+    return phases
+
+
+@settings(max_examples=200, deadline=None)
+@given(phases=legal_phase_sequences(), dt=strategies.floats(1e-6, 1e-2))
+@example(phases=[], dt=1e-4)
+@example(phases=["locked"], dt=1e-4)
+def test_phase_pass_matches_reference_loop(phases, dt):
+    validate_phase_sequence(phases)
+    n = len(phases)
+    zeros = np.zeros(n)
+    log = TimeSeriesLog(np.arange(n) * dt, zeros, zeros, zeros, zeros, phases, {})
+    assert_phase_pass_matches_reference(log)
+
+
+def test_phase_pass_on_a_relocking_run(default_cfg, table):
+    # The golden scenario polarity_flipped_relocks.
+    cfg = default_cfg
+    log = closed_loop_run(
+        table, cfg.medium, cfg.plant, cfg.ramp, cfg.pid, replace(cfg.lock, polarity="-1"),
+        duration=0.3, dt=cfg.run.dt_s, seed=cfg.noise.seed, detector_noise_v=cfg.noise.sigma_v,
+    )
+    assert [h["phase"] for h in _phases(log)[1]].count("locked") >= 2
+    assert_phase_pass_matches_reference(log)
 
 
 class TestIngest:
@@ -837,6 +968,10 @@ class TestCli:
         ("samples=4096", "samples=100000000000"),
         ("dt_s=1.0e-4", "dt_s=1e-12"),
         ("span_hz=3.0e9", "span_hz=1e20"),
+        ("span_hz=3.0e9", "span_hz=1e308"),
+        ("base_detuning_hz=5.0e8", "base_detuning_hz=1e20"),
+        ("base_detuning_hz=5.0e8", "base_detuning_hz=1e26"),
+        ("base_detuning_hz=5.0e8", "base_detuning_hz=1e308"),
         ("hyperfine_feature=Rb85:F3->F'=2", "hyperfine_feature=Rb85:F3->co(3,4)"),
         ("crossover_feature=Rb87:F2->co(2,3)", "crossover_feature=Rb87:F2->F'=3"),
     ])
