@@ -15,11 +15,11 @@ simulator, each with peak value ``amp`` at ``nu0`` and FWHM ``fwhm``:
 
   the thermal velocity distribution of the vapor.
 
-``spectrum`` builds its optical depth and bleaching dips from them. The public profiles are the kernels at fixed amplitudes:
-``lorentzian`` is peak-normalized (amp = 1) and ``doppler_gaussian`` is
-area-normalized (amp = 2 sqrt(ln 2) / (sqrt(pi) dnuD), unit integral).
-The normalization asymmetry is intentional; all amplitude scaling of
-synthesized spectra lives in the spectrum module.
+``spectrum`` builds its optical depth and bleaching dips from them. The
+public profiles are the kernels at fixed amplitudes: ``lorentzian`` is
+peak-normalized (amp = 1) and ``doppler_gaussian`` is area-normalized
+(amp = 2 sqrt(ln 2) / (sqrt(pi) dnuD), unit integral). The asymmetry is
+intentional: ``spectrum`` does all amplitude scaling of its spectra.
 """
 
 import math
