@@ -968,12 +968,12 @@ class TestCli:
         ("samples=4096", "samples=100000000000"),
         ("dt_s=1.0e-4", "dt_s=1e-12"),
         ("span_hz=3.0e9", "span_hz=1e20"),
+        ("hyperfine_feature=Rb85:F3->F'=2", "hyperfine_feature=Rb85:F3->co(3,4)"),
+        ("crossover_feature=Rb87:F2->co(2,3)", "crossover_feature=Rb87:F2->F'=3"),
         ("span_hz=3.0e9", "span_hz=1e308"),
         ("base_detuning_hz=5.0e8", "base_detuning_hz=1e20"),
         ("base_detuning_hz=5.0e8", "base_detuning_hz=1e26"),
         ("base_detuning_hz=5.0e8", "base_detuning_hz=1e308"),
-        ("hyperfine_feature=Rb85:F3->F'=2", "hyperfine_feature=Rb85:F3->co(3,4)"),
-        ("crossover_feature=Rb87:F2->co(2,3)", "crossover_feature=Rb87:F2->F'=3"),
     ])
     def test_bad_config_value_exit_two(self, patch, tmp_path, capsys):
         old, new = patch
