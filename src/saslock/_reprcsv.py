@@ -287,37 +287,32 @@ def repr_slots(x):
     return slots
 
 
-def _text_cells(column, sep):
-    """(rows, width + 1) uint8 cells of a list of ASCII str, NUL-padded, and
-    the separator."""
-    raw = np.frombuffer(("\0".join(column) + "\0").encode("ascii"), dtype=np.uint8)
-    ends = np.flatnonzero(raw == 0)              # each cell's NUL terminator
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    if len(ends) != len(column):
+def _text_table(names, sep):
+    """(len(names), width + 1) uint8 cells of ASCII names, each followed by
+    the separator and NUL-padded."""
+    if any("\0" in name for name in names):
         raise ValueError("CSV text cells must not hold NUL")
-    row = np.repeat(np.arange(len(column)), ends - starts + 1)
-    cells = np.zeros((len(column), int((ends - starts).max()) + 1), dtype=np.uint8)
-    cells[row, np.arange(len(raw)) - starts[row]] = raw
-    cells[:, -1] = ord(sep)
-    return cells
+    table = np.array([name + sep for name in names], dtype=bytes)
+    return table.view(np.uint8).reshape(len(names), table.itemsize)
 
 
 def csv_rows(columns):
     """The CSV text of the rows of `columns`, all of one length: a float64
-    array's values as repr writes them, a list of ASCII str as it is."""
-    rows = len(columns[0])
+    array's values as repr writes them, and a text column, a pair (codes,
+    names) of ASCII names, as names[code] for each code."""
     seps = [","] * (len(columns) - 1) + ["\n"]
     numeric = [k for k, col in enumerate(columns) if isinstance(col, np.ndarray)]
     if numeric:
         slots = repr_slots(np.stack([columns[k] for k in numeric], axis=1).ravel())
-        slots = slots.reshape(rows, len(numeric), 4)
+        slots = slots.reshape(-1, len(numeric), 4)
         slots[:, :, 3] |= np.array([_SEPARATOR[seps[k]] for k in numeric], dtype=np.uint64)
     if len(numeric) == len(columns):
         cells = slots
     else:
         slot_of = {k: i for i, k in enumerate(numeric)}
         cells = np.concatenate([
-            slots[:, slot_of[k]].view(np.uint8) if k in slot_of else _text_cells(col, seps[k])
+            slots[:, slot_of[k]].view(np.uint8) if k in slot_of
+            else _text_table(col[1], seps[k])[col[0]]
             for k, col in enumerate(columns)
         ], axis=1)
     return cells.tobytes().translate(None, b"\0").decode("ascii")

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .plant import PlantConfig, RampConfig
 from .servo import (
-    LEGAL_TRANSITIONS,
+    PHASES,
     Disturbances,
     LockConfig,
     PidConfig,
@@ -499,21 +499,13 @@ def run_sweep_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None) ->
     return _finalize(out_dir, fmt, "sweep", cfg, noise.seed, criteria, measured, artifacts, notes)
 
 
-_PHASE_CODES = {phase: code for code, phase in enumerate(LEGAL_TRANSITIONS)}
-
-
 def _phases(log: TimeSeriesLog):
     """(locked, history) of a run: locked[i] is true where sample i is in the
-    locked phase, and history gives each run of one phase as {"phase", "t_s"}.
-
-    log.phase is read once, into one int8 code per sample.
+    locked phase, and history gives each run of one phase as {"phase", "t_s"},
+    one per transition record of the log.
     """
-    codes = np.fromiter(map(_PHASE_CODES.__getitem__, log.phase), dtype=np.int8,
-                        count=len(log.phase))
-    names = list(_PHASE_CODES)
-    history = [{"phase": names[codes[i]], "t_s": float(log.t[i])}
-               for i in np.flatnonzero(np.diff(codes, prepend=-1))]
-    return codes == _PHASE_CODES["locked"], history
+    history = [{"phase": phase, "t_s": float(log.t[k])} for k, phase in log.transitions]
+    return log.phase_codes() == PHASES.index("locked"), history
 
 
 def _run_closed_loop(cfg, seed, duration, disturbances=Disturbances()):

@@ -30,9 +30,11 @@ against the axis), draws both noise streams in blocks and hoists the plant
 constants, then runs one loop over local floats that calls `_supervise` and
 `plant._plant_update`, the function under `plant.step_plant`. The run keeps
 no PID state, so with kd == 0 its law keeps no derivative window. Each step
-stores into the preallocated logs through memoryviews. No dataclass or dict
-is built per step, and the logs are bit-identical to stepping the public
-functions one call at a time.
+stores into the preallocated logs through memoryviews, but phases are not
+stored per step: the kernel records the step where each run of one phase
+begins, and the log derives per-sample codes, indices into `PHASES`, from
+those records. No dataclass or dict is built per step, and the logs are
+bit-identical to stepping the public functions one call at a time.
 """
 
 import math
@@ -68,6 +70,7 @@ LEGAL_TRANSITIONS = {
     "locked": ("locked", "lost"),
     "lost": ("lost", "sweeping"),
 }
+PHASES = tuple(LEGAL_TRANSITIONS)   # a phase's code is its index here
 
 
 # ---------------------------------------------------------------------------
@@ -381,24 +384,13 @@ def lock_step(lock: LockState, pid: PidState, pid_cfg: PidConfig, lock_cfg: Lock
     if lock.phase in ("engaging", "locked") and not dt > 0:
         # Only the PID needs a positive step, as in pid_step.
         raise ValueError(f"dt must be > 0, got {dt}")
-    phase, time_in_phase, qualify, filtered, state, control = _supervise(
-        law,
-        lock.phase,
-        lock.time_in_phase,
-        lock.qualify_time,
-        lock.error_filter,
-        astuple(pid),
-        measurement["error"],
-        measurement.get("force_lost", False),
-        dt,
+    # A LockState's fields are the supervisor's first four values, in order.
+    *lock_values, state, control = _supervise(
+        law, *astuple(lock), astuple(pid), measurement["error"],
+        measurement.get("force_lost", False), dt,
     )
-    new_lock = LockState(
-        phase=phase,
-        time_in_phase=time_in_phase,
-        qualify_time=qualify,
-        error_filter=filtered,
-    )
-    return new_lock, PidState(*state), control, phase == "sweeping"
+    new_lock = LockState(*lock_values)
+    return new_lock, PidState(*state), control, new_lock.phase == "sweeping"
 
 
 def validate_phase_sequence(phases):
@@ -428,11 +420,21 @@ class TimeSeriesLog:
     error: np.ndarray
     control: np.ndarray
     temperature: np.ndarray
-    phase: list
+    transitions: list   # (step, phase) where each run of one phase begins
     meta: dict
 
     def __len__(self):
         return len(self.t)
+
+    def phase_codes(self):
+        """The int8 code of each sample's phase, its index in PHASES."""
+        codes = np.array([PHASES.index(phase) for _, phase in self.transitions], dtype=np.int8)
+        return np.repeat(codes, np.diff([*(k for k, _ in self.transitions), len(self)]))
+
+    @property
+    def phase(self):
+        """The name of each sample's phase, as a tuple."""
+        return tuple(map(PHASES.__getitem__, self.phase_codes().tolist()))
 
 
 def resolve_thresholds(lock_cfg: LockConfig, lock_point: LockPoint, dip_fwhm_hz):
@@ -632,7 +634,8 @@ def closed_loop_run(
     store_error = memoryview(log_error)
     store_control = memoryview(log_control)
     store_temperature = memoryview(log_temperature)
-    log_phase = []
+    transitions = {0: phase}   # step -> the phase that begins there
+    steps = n
     aborted = False
     abort_reason = ""
 
@@ -653,9 +656,11 @@ def closed_loop_run(
             law, phase, time_in_phase, qualify, filtered, pid, polarity * error_raw,
             force_lost, dt,
         )
-        if prev_phase == "sweeping" and phase == "engaging":
-            # Engage: park the laser on the lock point before closing the loop.
-            base = lock_detuning - net_gain * control - k_temp * (temperature - temp_reference)
+        if phase is not prev_phase:
+            transitions[k] = phase
+            if phase == "engaging":
+                # Engage: park the laser on the lock point before closing the loop.
+                base = lock_detuning - net_gain * control - k_temp * (temperature - temp_reference)
 
         try:
             temperature, elapsed, _, detuning = _plant_update(
@@ -663,6 +668,7 @@ def closed_loop_run(
                 ramp_cfg if phase == "sweeping" else None, plant_noise_hz,
             )
         except ModeHopError as exc:
+            steps = k   # the aborting step is not logged
             aborted = True
             abort_reason = str(exc)
             if not math.isfinite(exc.detuning_hz):
@@ -679,7 +685,6 @@ def closed_loop_run(
         store_error[k] = error_raw
         store_control[k] = control
         store_temperature[k] = temperature
-        log_phase.append(phase)
 
     meta = {
         "format": LOCKLOG_FORMAT_VERSION,
@@ -695,14 +700,13 @@ def closed_loop_run(
         "aborted": aborted,
         "abort_reason": abort_reason,
     }
-    steps = len(log_phase)
     return TimeSeriesLog(
         t=np.arange(steps) * dt,
         detuning=log_detuning[:steps],
         error=log_error[:steps],
         control=log_control[:steps],
         temperature=log_temperature[:steps],
-        phase=log_phase,
+        transitions=[(k, phase) for k, phase in transitions.items() if k < steps],
         meta=meta,
     )
 
@@ -712,4 +716,4 @@ def write_locklog_csv(log: TimeSeriesLog, fileobj):
                      ("seed", "dt", "lock_point_hz", "polarity", "aborted"),
                      {"t_s": log.t, "detuning_hz": log.detuning, "error_v": log.error,
                       "control_v": log.control, "temperature_k": log.temperature,
-                      "phase": log.phase})
+                      "phase": (log.phase_codes(), PHASES)})

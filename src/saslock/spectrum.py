@@ -502,7 +502,11 @@ def _feature_extremum(trace, detuning):
     pad = 3.0 * SEARCH_RADIUS_HZ
     sl = trace.window_slice(detuning - pad, detuning + pad)
     if sl.stop - sl.start < 5:
-        raise SweepError(f"feature at {detuning / 1e6:.1f} MHz outside trace span")
+        axis = trace.detuning_axis
+        why = (f"has {sl.stop - sl.start} samples in its +-{pad / 1e6:.0f} MHz search window, "
+               "fewer than 5; raise [sweep] samples" if axis[0] <= detuning <= axis[-1]
+               else "outside trace span")
+        raise SweepError(f"feature at {detuning / 1e6:.1f} MHz {why}")
     elev, threshold = _elevation(trace, sl)
     axis = trace.detuning_axis[sl]
     inner = (axis >= detuning - SEARCH_RADIUS_HZ) & (axis <= detuning + SEARCH_RADIUS_HZ)
@@ -641,8 +645,8 @@ def write_series_csv(fileobj, fmt, meta, keys, columns):
     the header of `columns` (a dict name -> column) and its rows.
 
     numpy columns are written as floats, byte for byte as repr writes them,
-    so reading them back is exact; other columns (lists of ASCII str) as
-    they are.
+    so reading them back is exact. A text column is a pair (codes, names):
+    an integer array and the ASCII names its codes index.
     """
     # Imported on first use: _reprcsv builds its Ryu tables at import, which
     # costs every process RSS, and `analyze` writes no CSV.
@@ -655,9 +659,11 @@ def write_series_csv(fileobj, fmt, meta, keys, columns):
     w(",".join(columns) + "\n")
     cols = [np.asarray(col, dtype=float) if isinstance(col, np.ndarray) else col
             for col in columns.values()]
+    rows = len(cols[0]) if isinstance(cols[0], np.ndarray) else len(cols[0][0])
     block = max(1, _CSV_BLOCK // len(cols))
-    for lo in range(0, len(cols[0]), block):
-        w(csv_rows([col[lo:lo + block] for col in cols]))
+    for lo in range(0, rows, block):
+        w(csv_rows([col[lo:lo + block] if isinstance(col, np.ndarray)
+                    else (col[0][lo:lo + block], col[1]) for col in cols]))
 
 
 def write_trace_csv(trace: SweepTrace, fileobj):

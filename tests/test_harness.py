@@ -590,7 +590,14 @@ def reference_phases(log):
     return [p == "locked" for p in log.phase], history
 
 
+def transition_records(phases):
+    """(step, phase) for each sample whose phase differs from the one before."""
+    return [(k, p) for k, p in enumerate(phases) if k == 0 or p != phases[k - 1]]
+
+
 def assert_phase_pass_matches_reference(log):
+    # One record per run of one phase, each inside the log.
+    assert log.transitions == transition_records(log.phase)
     locked, history = _phases(log)
     expected_locked, expected_history = reference_phases(log)
     assert locked.dtype == bool and locked.tolist() == expected_locked
@@ -616,7 +623,9 @@ def test_phase_pass_matches_reference_loop(phases, dt):
     validate_phase_sequence(phases)
     n = len(phases)
     zeros = np.zeros(n)
-    log = TimeSeriesLog(np.arange(n) * dt, zeros, zeros, zeros, zeros, phases, {})
+    log = TimeSeriesLog(np.arange(n) * dt, zeros, zeros, zeros, zeros,
+                        transition_records(phases), {})
+    assert log.phase == tuple(phases)
     assert_phase_pass_matches_reference(log)
 
 
@@ -628,6 +637,28 @@ def test_phase_pass_on_a_relocking_run(default_cfg, table):
         duration=0.3, dt=cfg.run.dt_s, seed=cfg.noise.seed, detector_noise_v=cfg.noise.sigma_v,
     )
     assert [h["phase"] for h in _phases(log)[1]].count("locked") >= 2
+    assert_phase_pass_matches_reference(log)
+
+
+@pytest.mark.parametrize("pid, lock, start_locked, duration, phases", [
+    # With a hold time of one step, engaging -> locked at the step that
+    # aborts: that step and its record are not logged.
+    ({"kp": float("nan")}, {"hold_time": 1e-4}, False, 0.1, ["sweeping"] * 40 + ["engaging"]),
+    # Aborted at step 0: nothing is logged, not even the initial phase.
+    ({"kp": float("nan")}, {}, True, 0.1, []),
+    # Engaged at step 0: its record replaces the initial phase's.
+    ({}, {"sweep_time": 1e-4}, False, 1e-3, ["engaging"] * 10),
+])
+def test_phase_records_of_short_runs(default_cfg, table, pid, lock, start_locked, duration,
+                                     phases):
+    cfg = default_cfg
+    log = closed_loop_run(
+        table, cfg.medium, cfg.plant, cfg.ramp, replace(cfg.pid, **pid),
+        replace(cfg.lock, **lock), duration=duration, dt=1e-4, noise_enabled=False,
+        start_locked=start_locked,
+    )
+    assert log.meta["aborted"] == ("kp" in pid)
+    assert log.phase == tuple(phases)
     assert_phase_pass_matches_reference(log)
 
 
@@ -992,6 +1023,23 @@ class TestCli:
         code = cli_main(["--out", str(tmp_path), "analyze", str(tmp_path / "missing.csv")])
         assert code == 3
         assert "run failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("patch, message", [
+        # 942.4 MHz lies inside the sweep, but 4096 samples over 141 GHz
+        # leave too few in its search window.
+        (("start_hz=-1.4e9", "start_hz=-1.4e11"),
+         "run failed: feature at 942.4 MHz has 2 samples in its +-36 MHz search window, "
+         "fewer than 5; raise [sweep] samples\n"),
+        (("stop_hz=2.4e9", "stop_hz=7.2e8"),
+         "run failed: feature at 942.4 MHz outside trace span\n"),
+    ])
+    def test_feature_search_window_failure_exit_three(self, patch, message, tmp_path, capsys):
+        old, new = patch
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text(patched_config(**{old: new}))
+        code = cli_main(["--config", str(cfg), "--out", str(tmp_path), "sweep"])
+        assert code == 3
+        assert capsys.readouterr().err == message
 
     def test_env_var_config_dir(self, tmp_path, monkeypatch, capsys):
         confdir = tmp_path / "conf"

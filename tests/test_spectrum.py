@@ -17,7 +17,7 @@ from saslock._reprcsv import csv_rows
 from saslock.atomic_data import Isotope, LineTable, TransitionLine, find_feature
 from saslock.errors import NoSubDopplerFeaturesError, SweepError
 from saslock.harness import _envelope_valleys, manifold_window
-from saslock.servo import TimeSeriesLog, write_locklog_csv
+from saslock.servo import PHASES, TimeSeriesLog, write_locklog_csv
 from saslock.spectrum import (
     TRACE_FORMAT_VERSION,
     DepthMarkers,
@@ -547,7 +547,7 @@ def repr_series_csv(fmt, meta, keys, columns):
     """The series-CSV writer before the vectorized kernel: repr per float."""
     lines = [f"# format={fmt}", *(f"# {key}={meta.get(key)}" for key in keys), ",".join(columns)]
     cells = [map(repr, np.asarray(col, dtype=float).tolist()) if isinstance(col, np.ndarray)
-             else col for col in columns.values()]
+             else map(col[1].__getitem__, col[0]) for col in columns.values()]
     lines += [",".join(row) for row in zip(*cells)]
     return "\n".join(lines) + "\n"
 
@@ -600,7 +600,7 @@ class TestSeriesCsvWriter:
             "t_s": np.arange(rows) * 1e-5,
             "edge": rng.choice(np.array(edge + EDGE_FLOATS), rows),
             "noise": rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows),
-            "phase": [str(p) for p in rng.choice(["sweeping", "engaging", "locked", "lost"], rows)],
+            "phase": (rng.integers(0, len(PHASES), rows), PHASES),
             "bits": rng.integers(0, 2**64, rows, dtype=np.uint64, endpoint=False).view(np.float64),
         }
 
@@ -618,13 +618,13 @@ class TestSeriesCsvWriter:
     @pytest.mark.parametrize("cell", ["lock\u00e9d", "lo\0cked"])
     def test_text_cells_must_be_ascii_without_nul(self, cell):
         # NUL pads the cells in the row matrix, so a text cell cannot hold one.
-        columns = {"x": np.ones(3), "phase": ["locked", cell, "lost"]}
+        columns = {"x": np.ones(3), "phase": (np.arange(3), ["locked", cell, "lost"])}
         with pytest.raises(ValueError):
             write_series_csv(io.StringIO(), "sas-test/1", {}, (), columns)
 
     def test_zero_step_locklog_writes_header(self):
         meta = {"seed": 3, "dt": 1e-05, "lock_point_hz": -1.5e8, "polarity": 1, "aborted": False}
-        log = TimeSeriesLog(*(np.zeros(0) for _ in range(5)), phase=[], meta=meta)
+        log = TimeSeriesLog(*(np.zeros(0) for _ in range(5)), transitions=[], meta=meta)
         buf = io.StringIO()
         write_locklog_csv(log, buf)
         assert buf.getvalue() == (
