@@ -65,6 +65,7 @@ from .spectrum import (
     sha256_16,
     subdoppler_extrema,
     synthesize_sweep,
+    window_outside,
     write_trace_csv,
 )
 from .svgplot import render_line_plot
@@ -333,9 +334,12 @@ def validate_config(cfg: ScenarioConfig, source="<config>"):
         target = find_feature(table, cfg.lock.target_feature)
         for name in (cfg.ingest.feature_a, cfg.ingest.feature_b):
             find_feature(table, name)
-        manifold_window(table, cfg)
+        marker_window = manifold_window(table, cfg)
     except (LineDataError, UnknownFeatureError, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{source}: {exc}") from None
+    if window_outside(marker_window, start, stop):  # the sweep's axis ends at exactly these
+        raise ConfigError(f"{source}: [markers] window {marker_window!r} Hz around "
+                          f"{cfg.markers.manifold} lies outside the sweep [{start!r}, {stop!r}] Hz")
     if not map_lo <= target.detuning <= map_hi:  # the map's axis ends at exactly these
         raise ConfigError(f"{source}: [lock] target_feature {cfg.lock.target_feature!r} at "
                           f"{target.detuning / 1e6:.1f} MHz lies outside the error map "

@@ -130,8 +130,9 @@ def _plant_update(consts, temperature, elapsed, base, setpoint, disturbance, con
     `consts` is `_plant_constants(cfg, dt)`, `base` the detuning at bias
     current and reference temperature, and `ramp` a RampConfig whose
     waveform is added, or None. Raises ModeHopError when the detuning
-    leaves the envelope around `base` or is not finite. `step_plant` and
-    the closed-loop kernel both run the plant through this function.
+    leaves the envelope around `base` or is not finite. `step_plant` runs
+    the plant through this function; the closed-loop kernel writes it out
+    and is tested against it.
     """
     (dt, k_current, k_temp, k_ctrl, bias, temp_reference, drift_rate, thermal_gain,
      span, half_span) = consts

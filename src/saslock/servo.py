@@ -20,21 +20,29 @@ neighborhood (an off-feature laser produces a near-zero error signal, so an
 error threshold alone cannot detect that escape). After a relock delay the
 supervisor sweeps again.
 
-The control law and the supervisor each have one implementation, a function
-over plain floats and tuples (`_pid_update`, `_supervise`). `pid_step` and
-`lock_step` wrap them in the PidState/LockState dataclasses for callers
-that step by hand. `closed_loop_run` is a flat kernel: it sets up the error
-map as lists with per-interval slopes (looked up with numpy's interp
-arithmetic, the interval indexed from the uniform map step and checked
-against the axis), draws both noise streams in blocks and hoists the plant
-constants, then runs one loop over local floats that calls `_supervise` and
-`plant._plant_update`, the function under `plant.step_plant`. The run keeps
-no PID state, so with kd == 0 its law keeps no derivative window. Each step
-stores into the preallocated logs through memoryviews, but phases are not
-stored per step: the kernel records the step where each run of one phase
-begins, and the log derives per-sample codes, indices into `PHASES`, from
-those records. No dataclass or dict is built per step, and the logs are
-bit-identical to stepping the public functions one call at a time.
+The control law and the supervisor each have one single-step
+implementation, a function over plain floats and tuples (`_pid_update`,
+`_supervise`). `pid_step` and `lock_step` wrap them in the
+PidState/LockState dataclasses for callers that step by hand.
+
+`closed_loop_run` is a flat kernel: on the engaging and locked path a step
+calls no Python function, except `_interp` when the error-map guess
+misses. It unpacks the per-run constants once,
+from `_supervisor_law`, `_pid_gains` and `plant._plant_constants`, and
+writes out the supervisor's phase dispatch (locked first), the PID law,
+the plant update with its envelope test, and the error-map lookup: the
+interval is guessed from the uniform map step and checked against the
+axis, and only a miss goes to `_interp`, which uses numpy's interp
+arithmetic. The noise streams are drawn in blocks. The run keeps no PID state, so with
+kd == 0 its law keeps no derivative window. Each step stores into the
+preallocated logs through memoryviews, but phases are not stored per step:
+the kernel records the step where each run of one phase begins, and the
+log derives per-sample codes, indices into `PHASES`, from those records.
+
+The single-step functions are the kernel's reference: the logs, records
+and meta of a run are bit-identical to a loop that calls `_interp`,
+`_supervise` and `plant._plant_update` once per step, and the tests hold
+the kernel to that loop.
 """
 
 import math
@@ -47,7 +55,7 @@ import numpy as np
 from .atomic_data import find_feature
 from .errors import ModeHopError, SaslockError, UnlockableError
 from .lineshape import saturation_broadened_width
-from .plant import _plant_constants, _plant_update, frequency_noise_sigma
+from .plant import _plant_constants, frequency_noise_sigma, ramp_waveform
 from .spectrum import NoiseConfig, error_signal, synthesize_sweep, write_series_csv
 
 LOCKLOG_FORMAT_VERSION = "sas-locklog/1"
@@ -131,7 +139,8 @@ def _pid_update(gains, state, error, dt):
     """The control law over plain values; returns (new state, control).
 
     `gains` is `_pid_gains(cfg)` and `state` a PID state tuple. `pid_step`
-    and the closed-loop kernel both run the law through this function.
+    runs the law through this function; the closed-loop kernel writes it
+    out and is tested against it.
     Without the window flag of `gains` the window and the smoothed error
     pass through unchanged.
     """
@@ -339,8 +348,9 @@ def _supervise(law, phase, time_in_phase, qualify, filtered, pid, error, force_l
 
     `law` is `_supervisor_law(..., dt)`, `filtered` the lock detector's filtered
     error and `pid` a PID state tuple. Returns (phase, time_in_phase,
-    qualify, filtered, pid, control). `lock_step` and the closed-loop
-    kernel both run the supervisor through this function.
+    qualify, filtered, pid, control). `lock_step` runs the supervisor
+    through this function; the closed-loop kernel writes it out and is
+    tested against it.
     """
     gains, lock_v, loss_v, hold_time, loss_time, relock_delay, sweep_time, alpha = law
     filtered += alpha * (error - filtered)
@@ -566,24 +576,39 @@ def closed_loop_run(
 
     The spectroscopy readout is quasi-static: at every step the conditioned
     error is interpolated from a precomputed noise-free error map at the
-    plant's instantaneous detuning, plus detector noise. A mode-hop fault,
-    or a detuning that is no longer finite, aborts the scenario with a
-    partial log (meta["aborted"], meta["abort_reason"]). The loop is the
-    flat kernel described in the module docstring.
+    plant's instantaneous detuning, plus detector noise. The detuning
+    step's time must be > 0: it applies after the step whose interval
+    (t, t + dt] holds it. A mode-hop fault, or a detuning that is no longer
+    finite, aborts the scenario with a partial log (meta["aborted"],
+    meta["abort_reason"]).
+
+    The loop is the flat kernel of the module docstring: the supervisor,
+    the PID law, the plant update and the error-map lookup are written out
+    in it, and `_supervise`, `_pid_update`, `_plant_update` and `_interp`
+    are the reference it must match bit for bit.
     """
     if not duration > 0:
         raise ValueError(f"duration must be > 0, got {duration}")
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
+    detuning_step_time = disturbances.detuning_step_time_s
+    if detuning_step_time is not None and not detuning_step_time > 0:
+        raise ValueError(f"detuning_step_time_s must be > 0, got {detuning_step_time}")
 
     map_axis, curve, lock_point, dip_fwhm, pre_lock_error_peak = build_error_map(
         table, medium, plant_cfg, ramp_cfg, lock_cfg
     )
     lock_cfg = resolve_thresholds(lock_cfg, lock_point, dip_fwhm)
     # The PID state is internal to the run, so the window may be skipped.
-    law = _supervisor_law(pid_cfg, lock_cfg, dt, keep_window=False)
+    gains, lock_v, loss_v, hold_time, loss_time, relock_delay, sweep_time, alpha = (
+        _supervisor_law(pid_cfg, lock_cfg, dt, keep_window=False)
+    )
+    kp, ki, kd, offset, out_min, out_max, int_min, int_max, smoothing, keep_window = gains
+    ki_half = ki * 0.5   # the law's first product, ki * 0.5 * (error + prev_error) * dt
+    (_, k_current, k_temp, k_ctrl, bias, temp_reference, drift_rate, thermal_gain,
+     span, half_span) = _plant_constants(plant_cfg, dt)
 
-    net_gain = plant_cfg.k_ctrl * plant_cfg.k_current  # Hz per control volt
+    net_gain = k_ctrl * k_current  # Hz per control volt
     polarity = -math.copysign(1.0, net_gain * lock_point.slope)
     if lock_cfg.polarity == "-1":
         polarity = -polarity
@@ -603,26 +628,25 @@ def closed_loop_run(
     map_x = map_axis.tolist()
     map_y = curve.tolist()
     map_slopes = (np.diff(curve) / np.diff(map_axis)).tolist()
-    map_per_hz = (len(map_x) - 1) / (map_x[-1] - map_x[0])
+    map_lo = map_x[0]
+    map_per_hz = (len(map_x) - 1) / (map_x[-1] - map_lo)
 
     lock_detuning = lock_point.detuning
     escape_span = lock_cfg.escape_span_hz
     temp_step_time = disturbances.temp_step_time_s
     temp_step_k = disturbances.temp_step_k
-    detuning_step_time = disturbances.detuning_step_time_s
     detuning_step_hz = disturbances.detuning_step_hz
-    plant = _plant_constants(plant_cfg, dt)
-    k_temp = plant_cfg.k_temp
-    temp_reference = plant_cfg.temp_reference
 
     base = lock_detuning if start_locked else plant_cfg.base_detuning
     detuning = base
     temperature = temp_reference
-    elapsed = 0.0
-    disturbance = 0.0
+    elapsed = disturbance = 0.0
     phase = "locked" if start_locked else "sweeping"
+    # Only sweeping and lost read time_in_phase, so only they advance it.
     time_in_phase = qualify = filtered = 0.0
-    pid = _PID_START
+    # The PID state; its last output is `control`, which lost holds.
+    integrator, prev_error, _, window, smoothed = _PID_START
+    nan = math.nan
 
     # The loop stores through memoryviews of the preallocated logs: an item
     # store costs about half of an ndarray's.
@@ -644,34 +668,106 @@ def closed_loop_run(
         if temp_step_time is not None and t >= temp_step_time:
             disturbance = temp_step_k
 
-        error_raw = _interp(detuning, map_x, map_y, map_slopes, map_per_hz)
+        # _interp's guess of the interval; a knot, a miss or NaN goes to _interp.
+        try:
+            j = int((detuning - map_lo) * map_per_hz)
+            x_j = map_x[j]
+            error_raw = (map_slopes[j] * (detuning - x_j) + map_y[j]
+                         if x_j < detuning < map_x[j + 1] else nan)
+        except (IndexError, OverflowError, ValueError):
+            error_raw = nan
+        if error_raw != error_raw:
+            error_raw = _interp(detuning, map_x, map_y, map_slopes, map_per_hz)
         if add_meas_noise:
             error_raw += meas_noise_v
+        error = polarity * error_raw
 
-        force_lost = (phase == "engaging" or phase == "locked") and (
-            abs(detuning - lock_detuning) > escape_span
-        )
-        prev_phase = phase
-        phase, time_in_phase, qualify, filtered, pid, control = _supervise(
-            law, phase, time_in_phase, qualify, filtered, pid, polarity * error_raw,
-            force_lost, dt,
-        )
-        if phase is not prev_phase:
-            transitions[k] = phase
-            if phase == "engaging":
-                # Engage: park the laser on the lock point before closing the loop.
+        # _supervise, locked first; a comparison pair spells out abs().
+        if phase == "locked" or phase == "engaging":
+            filtered += alpha * (error - filtered)
+
+            # _pid_update
+            if prev_error is None:
+                prev_error = error
+            candidate = integrator + ki_half * (error + prev_error) * dt
+            if int_min > candidate:
+                candidate = int_min
+            if int_max < candidate:
+                candidate = int_max
+            raw = kp * error + candidate
+            if keep_window:
+                window = (window + (error,))[-smoothing:]
+                prev_smoothed = smoothed
+                smoothed = sum(window) / len(window)
+                if prev_smoothed is None:
+                    prev_smoothed = smoothed
+                raw += kd * ((smoothed - prev_smoothed) / dt)
+            raw += offset
+            if raw != raw:
+                if candidate != candidate:
+                    candidate = integrator
+                raw = kp * error + candidate + offset
+            control = out_min if out_min > raw else raw
+            if out_max < control:
+                control = out_max
+            if not (raw > out_max and candidate > integrator
+                    or raw < out_min and candidate < integrator):
+                integrator = candidate
+            prev_error = error
+
+            if phase == "locked":
+                if filtered > loss_v or filtered < -loss_v:
+                    qualify += dt
+                else:
+                    qualify = 0.0
+                # An escape from the lock point is lost at once. Engaging
+                # restarts qualify, so counting it on that step is harmless.
+                escape = detuning - lock_detuning
+                if escape > escape_span or escape < -escape_span or qualify >= loss_time:
+                    phase = transitions[k] = "lost"
+                    time_in_phase = 0.0
+            elif -lock_v < filtered < lock_v:
+                qualify += dt
+                if qualify >= hold_time:
+                    phase = transitions[k] = "locked"
+                    qualify = 0.0
+            else:
+                qualify = 0.0
+        elif phase == "sweeping":
+            control = offset   # the PID is held at its quiescent output
+            time_in_phase += dt
+            if time_in_phase >= sweep_time:
+                # Engage: the closed loop starts clean, with the laser parked
+                # on the lock point.
+                phase = transitions[k] = "engaging"
+                qualify = filtered = 0.0
+                integrator, prev_error, _, window, smoothed = _PID_START
                 base = lock_detuning - net_gain * control - k_temp * (temperature - temp_reference)
+        else:
+            # lost: the control stays frozen at the last PID output.
+            time_in_phase += dt
+            if time_in_phase >= relock_delay:
+                phase = transitions[k] = "sweeping"
+                time_in_phase = 0.0
 
-        try:
-            temperature, elapsed, _, detuning = _plant_update(
-                plant, temperature, elapsed, base, temp_reference, disturbance, control,
-                ramp_cfg if phase == "sweeping" else None, plant_noise_hz,
-            )
-        except ModeHopError as exc:
+        # _plant_update
+        elapsed += dt
+        temperature += thermal_gain * (temp_reference + drift_rate * elapsed + disturbance
+                                       - temperature)
+        detuning = (
+            base
+            + k_current * (bias + k_ctrl * control - bias)
+            + k_temp * (temperature - temp_reference)
+            + (ramp_waveform(elapsed, ramp_cfg) if phase == "sweeping" else 0.0)
+            + plant_noise_hz
+        )
+        # The envelope test; a NaN detuning fails it too.
+        if not -half_span <= detuning - base <= half_span:
+            exc = ModeHopError(detuning, span, elapsed)
             steps = k   # the aborting step is not logged
             aborted = True
             abort_reason = str(exc)
-            if not math.isfinite(exc.detuning_hz):
+            if not math.isfinite(detuning):
                 abort_reason = (
                     f"non-finite state: detuning {exc.detuning_hz!r} Hz, control {control!r} V "
                     f"at t={exc.elapsed_s:.6f} s"

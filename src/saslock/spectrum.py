@@ -542,6 +542,11 @@ def doppler_windows(table: LineTable, medium: MediumConfig, margin_fwhm):
     return out
 
 
+def window_outside(window, lo, hi):
+    """Whether the detuning window (a, b) reaches past the span [lo, hi]."""
+    return window[0] < lo or window[1] > hi
+
+
 def extract_markers(
     trace: SweepTrace,
     manifold_window,
@@ -561,7 +566,7 @@ def extract_markers(
     if lo >= hi:
         raise SweepError(f"marker window inverted: [{lo}, {hi}]")
     axis = trace.detuning_axis
-    if lo < axis[0] or hi > axis[-1]:
+    if window_outside(manifold_window, axis[0], axis[-1]):
         raise SweepError("marker window outside trace span")
 
     outside = np.ones(len(axis), dtype=bool)

@@ -155,6 +155,15 @@ class TestConfigParsing:
         # huge finite extents are compared with the cap before int()
         ("span_hz=3.0e9", "span_hz=1e308"),
         ("span_hz=3.0e9", "span_hz=1.7e308"),
+        # the marker window, Rb87:F2's lines +- window_margin_hz, must lie
+        # inside the sweep
+        ("start_hz=-1.4e9", "start_hz=1.4e9"),
+        ("start_hz=-1.4e9", "start_hz=-0.0"),
+        ("start_hz=-1.4e9", "start_hz=-1.4e7"),
+        ("start_hz=-1.4e9", "start_hz=-4.2e8"),
+        ("stop_hz=2.4e9", "stop_hz=2.4e7"),
+        ("stop_hz=2.4e9", "stop_hz=0"),
+        ("window_margin_hz=6.0e7", "window_margin_hz=6e9"),
     ])
     def test_out_of_range_value_rejected(self, patch):
         old, new = patch
@@ -1005,6 +1014,15 @@ class TestCli:
         ("base_detuning_hz=5.0e8", "base_detuning_hz=1e20"),
         ("base_detuning_hz=5.0e8", "base_detuning_hz=1e26"),
         ("base_detuning_hz=5.0e8", "base_detuning_hz=1e308"),
+        # the marker window, Rb87:F2's lines +- window_margin_hz, must lie
+        # inside the sweep
+        ("start_hz=-1.4e9", "start_hz=1.4e9"),
+        ("start_hz=-1.4e9", "start_hz=-0.0"),
+        ("start_hz=-1.4e9", "start_hz=-1.4e7"),
+        ("start_hz=-1.4e9", "start_hz=-4.2e8"),
+        ("stop_hz=2.4e9", "stop_hz=2.4e7"),
+        ("stop_hz=2.4e9", "stop_hz=0"),
+        ("window_margin_hz=6.0e7", "window_margin_hz=6e9"),
     ])
     def test_bad_config_value_exit_two(self, patch, tmp_path, capsys):
         old, new = patch

@@ -2,27 +2,41 @@
 
 import math
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies
 
-from saslock.errors import SaslockError, UnlockableError
-from saslock.plant import PlantConfig, RampConfig
+from saslock.errors import ModeHopError, SaslockError, UnlockableError
+from saslock.plant import (
+    PlantConfig,
+    RampConfig,
+    _plant_constants,
+    _plant_update,
+    frequency_noise_sigma,
+)
 from saslock.servo import (
     _PID_START,
+    LOCKLOG_FORMAT_VERSION,
     Disturbances,
     LockConfig,
     LockState,
     PidConfig,
     PidState,
+    TimeSeriesLog,
     _interp,
+    _normal_stream,
     _pid_gains,
     _pid_update,
+    _supervise,
+    _supervisor_law,
+    build_error_map,
     closed_loop_run,
     find_lock_point,
     lock_step,
     pid_step,
+    resolve_thresholds,
     validate_phase_sequence,
 )
 from saslock.spectrum import SweepTrace
@@ -544,3 +558,229 @@ class TestClosedLoop:
         assert log.meta["aborted"]
         assert "mode hop" in log.meta["abort_reason"]
         assert len(log) < int(0.1 / 1e-4)
+
+
+def reference_closed_loop(table, medium, plant_cfg, ramp_cfg, pid_cfg, lock_cfg, *, duration,
+                          dt, seed, noise_enabled, disturbances, start_locked,
+                          detector_noise_v=0.002):
+    """closed_loop_run as one call of _interp, _supervise and _plant_update per step.
+
+    This is the loop the flat kernel replaced, kept to test the kernel against.
+    """
+    map_axis, curve, lock_point, dip_fwhm, pre_lock_error_peak = build_error_map(
+        table, medium, plant_cfg, ramp_cfg, lock_cfg
+    )
+    lock_cfg = resolve_thresholds(lock_cfg, lock_point, dip_fwhm)
+    law = _supervisor_law(pid_cfg, lock_cfg, dt, keep_window=False)
+
+    net_gain = plant_cfg.k_ctrl * plant_cfg.k_current
+    polarity = -math.copysign(1.0, net_gain * lock_point.slope)
+    if lock_cfg.polarity == "-1":
+        polarity = -polarity
+
+    n = int(round(duration / dt))
+    seq = np.random.SeedSequence(seed).spawn(2)
+    plant_rng = np.random.default_rng(seq[0])
+    meas_rng = np.random.default_rng(seq[1])
+    if noise_enabled and plant_cfg.linewidth > 0:
+        plant_noise = _normal_stream(plant_rng, frequency_noise_sigma(plant_cfg.linewidth, dt), n)
+    else:
+        plant_noise = repeat(0.0, n)
+    meas_sigma = detector_noise_v * math.sqrt(2.0) if noise_enabled else 0.0
+    add_meas_noise = meas_sigma > 0
+    meas_noise = _normal_stream(meas_rng, meas_sigma, n) if add_meas_noise else repeat(0.0, n)
+
+    map_x = map_axis.tolist()
+    map_y = curve.tolist()
+    map_slopes = (np.diff(curve) / np.diff(map_axis)).tolist()
+    map_per_hz = (len(map_x) - 1) / (map_x[-1] - map_x[0])
+
+    lock_detuning = lock_point.detuning
+    escape_span = lock_cfg.escape_span_hz
+    temp_step_time = disturbances.temp_step_time_s
+    temp_step_k = disturbances.temp_step_k
+    detuning_step_time = disturbances.detuning_step_time_s
+    detuning_step_hz = disturbances.detuning_step_hz
+    plant = _plant_constants(plant_cfg, dt)
+    k_temp = plant_cfg.k_temp
+    temp_reference = plant_cfg.temp_reference
+
+    base = lock_detuning if start_locked else plant_cfg.base_detuning
+    detuning = base
+    temperature = temp_reference
+    elapsed = 0.0
+    disturbance = 0.0
+    phase = "locked" if start_locked else "sweeping"
+    time_in_phase = qualify = filtered = 0.0
+    pid = _PID_START
+
+    detunings, errors, controls, temperatures = [], [], [], []
+    transitions = {0: phase}
+    steps = n
+    aborted = False
+    abort_reason = ""
+
+    for k, plant_noise_hz, meas_noise_v in zip(range(n), plant_noise, meas_noise):
+        t = k * dt
+        if temp_step_time is not None and t >= temp_step_time:
+            disturbance = temp_step_k
+
+        error_raw = _interp(detuning, map_x, map_y, map_slopes, map_per_hz)
+        if add_meas_noise:
+            error_raw += meas_noise_v
+
+        force_lost = (phase == "engaging" or phase == "locked") and (
+            abs(detuning - lock_detuning) > escape_span
+        )
+        prev_phase = phase
+        phase, time_in_phase, qualify, filtered, pid, control = _supervise(
+            law, phase, time_in_phase, qualify, filtered, pid, polarity * error_raw,
+            force_lost, dt,
+        )
+        if phase is not prev_phase:
+            transitions[k] = phase
+            if phase == "engaging":
+                base = lock_detuning - net_gain * control - k_temp * (temperature - temp_reference)
+
+        try:
+            temperature, elapsed, _, detuning = _plant_update(
+                plant, temperature, elapsed, base, temp_reference, disturbance, control,
+                ramp_cfg if phase == "sweeping" else None, plant_noise_hz,
+            )
+        except ModeHopError as exc:
+            steps = k
+            aborted = True
+            abort_reason = str(exc)
+            if not math.isfinite(exc.detuning_hz):
+                abort_reason = (
+                    f"non-finite state: detuning {exc.detuning_hz!r} Hz, control {control!r} V "
+                    f"at t={exc.elapsed_s:.6f} s"
+                )
+            break
+
+        if detuning_step_time is not None and t < detuning_step_time <= t + dt:
+            base += detuning_step_hz
+
+        detunings.append(detuning)
+        errors.append(error_raw)
+        controls.append(control)
+        temperatures.append(temperature)
+
+    meta = {
+        "format": LOCKLOG_FORMAT_VERSION,
+        "seed": seed,
+        "dt": dt,
+        "lock_point_hz": lock_point.detuning,
+        "lock_amplitude_v": lock_point.amplitude,
+        "pre_lock_error_peak_v": pre_lock_error_peak,
+        "lock_threshold_v": lock_cfg.lock_threshold_v,
+        "loss_threshold_v": lock_cfg.loss_threshold_v,
+        "escape_span_hz": lock_cfg.escape_span_hz,
+        "polarity": polarity,
+        "aborted": aborted,
+        "abort_reason": abort_reason,
+    }
+    return TimeSeriesLog(
+        t=np.arange(steps) * dt,
+        detuning=np.array(detunings, dtype=float),
+        error=np.array(errors, dtype=float),
+        control=np.array(controls, dtype=float),
+        temperature=np.array(temperatures, dtype=float),
+        transitions=[(k, phase) for k, phase in transitions.items() if k < steps],
+        meta=meta,
+    )
+
+
+def step_times(dt):
+    """Times inside a 0.3 s run, often a step's own time k * dt or its end
+    k * dt + dt, which can round past the next step's time."""
+    steps = strategies.integers(0, int(0.3 / dt))
+    return (strategies.floats(1e-4, 0.3) | steps.map(lambda k: k * dt + dt)
+            | steps.filter(bool).map(lambda k: k * dt))
+
+
+@strategies.composite
+def closed_loop_cases(draw):
+    dt = draw(strategies.sampled_from([1e-4, 2.5e-4]))
+    # kd != 0, or a -0.0 offset, keeps the derivative window; an infinite
+    # kd makes a still derivative NaN, which drops the term. Narrow rails
+    # saturate the output.
+    rail = draw(strategies.sampled_from([10.0, 10.0, 0.2]))
+    pid = PidConfig(
+        kp=draw(strategies.sampled_from([0.006, 0.006, 0.006, 0.02, math.nan])),
+        # A slow integrator leaves a 5 MHz step near the error's peak, past
+        # the loss threshold.
+        ki=draw(strategies.sampled_from([40.0, 40.0, 0.4])),
+        kd=draw(strategies.sampled_from([0.0, 0.0, 1e-7, 1e-5, math.inf])),
+        offset=draw(strategies.sampled_from([0.0, -0.0])),
+        output_min=-rail,
+        output_max=rail,
+        derivative_smoothing=draw(strategies.integers(1, 8)),
+    )
+    # A wide escape span leaves the loss to the error threshold.
+    lock = LockConfig(
+        polarity=draw(strategies.sampled_from(["auto", "+1", "-1"])),
+        hold_time=draw(strategies.sampled_from([0.02, 0.005])),
+        loss_time=draw(strategies.sampled_from([0.01, 0.002])),
+        relock_delay=draw(strategies.sampled_from([0.1, 0.01])),
+        escape_span_hz=draw(strategies.sampled_from([None, None, 5e9])),
+    )
+    # A small envelope aborts the run: 2 GHz while sweeping, 100 kHz on noise.
+    spans = [30e9, 30e9, 30e9, 2e9, 1e5]
+    plant = replace(PLANT, mode_hop_span=draw(strategies.sampled_from(spans)))
+    ramp = replace(RAMP, shape=draw(strategies.sampled_from(["triangle", "sawtooth"])))
+    disturbances = Disturbances(
+        temp_step_k=draw(strategies.sampled_from([0.1, -1.0])),
+        temp_step_time_s=draw(strategies.none() | step_times(dt)),
+        detuning_step_hz=draw(strategies.sampled_from([0.2e6, 5e6, -20e6, -60e6])),
+        detuning_step_time_s=draw(strategies.none() | step_times(dt)),
+    )
+    run = dict(
+        duration=draw(strategies.floats(0.01, 0.3)),
+        dt=dt,
+        seed=draw(strategies.integers(0, 2**32 - 1)),
+        noise_enabled=draw(strategies.booleans()),
+        disturbances=disturbances,
+        start_locked=draw(strategies.booleans()),
+    )
+    return plant, ramp, pid, lock, run
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_loop_cases())
+# 6 * dt + dt and 7 * dt round to either side of this time, so steps 6 and 7
+# both take the detuning step.
+@example((PLANT, RAMP, PidConfig(), LockConfig(), dict(
+    duration=0.01, dt=1e-4, seed=0, noise_enabled=False, start_locked=True,
+    disturbances=Disturbances(detuning_step_hz=5e6, detuning_step_time_s=0.0007000000000000001),
+)))
+# A 0.1 K step needs more than the 0.2 V rails: the output saturates, with
+# the integrator held, until the laser escapes and relocks.
+@example((PLANT, RAMP, PidConfig(output_min=-0.2, output_max=0.2), LockConfig(), dict(
+    duration=0.3, dt=1e-4, seed=0, noise_enabled=False, start_locked=True,
+    disturbances=Disturbances(temp_step_k=0.1, temp_step_time_s=0.01),
+)))
+# A slow integrator holds the filtered error past the loss threshold after
+# a step onto the error's peak: lost by threshold, then a relock.
+@example((PLANT, RAMP, PidConfig(ki=0.4), LockConfig(relock_delay=0.01), dict(
+    duration=0.2, dt=1e-4, seed=1, noise_enabled=True, start_locked=True,
+    disturbances=Disturbances(detuning_step_hz=5e6, detuning_step_time_s=0.05),
+)))
+def test_kernel_matches_the_reference_loop(table, default_cfg, case):
+    plant, ramp, pid, lock, run = case
+    log = closed_loop_run(table, default_cfg.medium, plant, ramp, pid, lock, **run)
+    ref = reference_closed_loop(table, default_cfg.medium, plant, ramp, pid, lock, **run)
+    for name in ("t", "detuning", "error", "control", "temperature"):
+        assert getattr(log, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert log.transitions == ref.transitions
+    assert repr(log.meta) == repr(ref.meta)
+
+
+def test_detuning_step_time_must_be_positive(table, default_cfg):
+    for time_s in (0.0, -0.01, math.nan):
+        with pytest.raises(ValueError, match="detuning_step_time_s"):
+            closed_loop_run(
+                table, default_cfg.medium, PLANT, RAMP, PidConfig(), LockConfig(),
+                duration=0.1, disturbances=Disturbances(detuning_step_hz=1e6,
+                                                        detuning_step_time_s=time_s),
+            )
