@@ -52,6 +52,7 @@ SCENARIOS = {
     "sawtooth_ramp": dict(duration=0.1, ramp={"shape": "sawtooth"}),
     "smoothed_derivative": dict(duration=0.1, pid={"kd": 2e-6, "derivative_smoothing": 3}),
     "mode_hop_abort": dict(duration=0.01, plant={"mode_hop_span": 2.8e9}),
+    "differential_lock": dict(duration=0.3, lock={"mode": "differential"}),
 }
 
 SCENARIO_DIGESTS = {
@@ -61,6 +62,7 @@ SCENARIO_DIGESTS = {
     "sawtooth_ramp": "547fd69927feaac6f16ba21a123bee01bd11427f1518792879ff36bf59ada751",
     "smoothed_derivative": "0dfb0ee0c73044fbe71046c3243a914c94174698494d8e501104aa4dc66ff08b",
     "mode_hop_abort": "b1d3516ec203f59d2b49789acc5ccb738f00b2175775023cde00317778712418",
+    "differential_lock": "e2cb050f9a4c616f41c6547eab645e15473a5de70dc7abda4cfcb58922d545c7",
 }
 
 
