@@ -63,7 +63,6 @@ from .spectrum import (
     odd_window,
     read_series_csv,
     sha256_16,
-    subdoppler_extrema,
     synthesize_sweep,
     window_outside,
     write_trace_csv,
@@ -337,6 +336,8 @@ def validate_config(cfg: ScenarioConfig, source="<config>"):
         marker_window = manifold_window(table, cfg)
     except (LineDataError, UnknownFeatureError, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{source}: {exc}") from None
+    if marker_window[0] >= marker_window[1]:  # extract_markers' run-time check
+        raise ConfigError(f"{source}: [markers] window {marker_window!r} Hz is inverted")
     if window_outside(marker_window, start, stop):  # the sweep's axis ends at exactly these
         raise ConfigError(f"{source}: [markers] window {marker_window!r} Hz around "
                           f"{cfg.markers.manifold} lies outside the sweep [{start!r}, {stop!r}] Hz")
@@ -478,11 +479,11 @@ def run_sweep_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None) ->
         return _finalize(out_dir, fmt, "sweep", cfg, noise.seed, criteria, measured, artifacts,
                          notes)
 
-    census = subdoppler_extrema(trace, window)
+    census = len(markers.features)
     expected_census = len(manifold_features(table, *parse_manifold_name(cfg.markers.manifold)))
 
     measured["markers_v"] = {"A": markers.A, "B": markers.B, "C": markers.C, "D": markers.D}
-    measured["subdoppler_feature_count"] = int(len(census))
+    measured["subdoppler_feature_count"] = census
     for name, threshold in STANDARD_DEPTH_THRESHOLDS.items():
         depth = getattr(depths, f"{name}_depth")
         measured[f"{name}_depth_pct"] = depth
@@ -493,8 +494,8 @@ def run_sweep_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None) ->
         criteria.append(
             Criterion(
                 "subdoppler_feature_census",
-                len(census) == expected_census,
-                float(len(census)),
+                census == expected_census,
+                float(census),
                 f"== {expected_census}",
                 "features",
             )

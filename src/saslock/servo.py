@@ -27,17 +27,18 @@ PidState/LockState dataclasses for callers that step by hand.
 
 `closed_loop_run` is a flat kernel: on the engaging and locked path a step
 calls no Python function, except `_interp` when the error-map guess
-misses. It unpacks the per-run constants once,
-from `_supervisor_law`, `_pid_gains` and `plant._plant_constants`, and
-writes out the supervisor's phase dispatch (locked first), the PID law,
-the plant update with its envelope test, and the error-map lookup: the
-interval is guessed from the uniform map step and checked against the
-axis, and only a miss goes to `_interp`, which uses numpy's interp
-arithmetic. The noise streams are drawn in blocks. The run keeps no PID state, so with
-kd == 0 its law keeps no derivative window. Each step stores into the
-preallocated logs through memoryviews, but phases are not stored per step:
-the kernel records the step where each run of one phase begins, and the
-log derives per-sample codes, indices into `PHASES`, from those records.
+misses. It unpacks the per-run constants once, from `_supervisor_law`,
+`_pid_gains` and `plant._plant_constants`, and writes out the
+supervisor's phase dispatch (locked first), the PID law, the plant update
+with its envelope test, and the error-map lookup. The lookup guesses the
+interval from the uniform map step and checks it against the axis; this
+is the only guess, and a miss goes to `_interp`, which is numpy's interp
+with the interval found by bisection. The noise streams are drawn in
+blocks. The run keeps no PID state, so with kd == 0 its law keeps no
+derivative window. Each step stores into the preallocated logs through
+memoryviews, but phases are not stored per step: the kernel records the
+step where each run of one phase begins, and the log derives per-sample
+codes, indices into `PHASES`, from those records.
 
 The single-step functions are the kernel's reference: the logs, records
 and meta of a run are bit-identical to a loop that calls `_interp`,
@@ -47,7 +48,7 @@ the kernel to that loop.
 
 import math
 from bisect import bisect_right
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, field, replace
 from itertools import chain, repeat
 
 import numpy as np
@@ -204,30 +205,21 @@ class LockPoint:
     slope: float           # V/Hz at the crossing
     required_offset: float  # V added to the raw error signal
     amplitude: float       # peak |conditioned error| of the feature, V
-
-
-def conditioned_error_curve(trace, mode, derivative_scale_hz, required_offset=0.0):
-    """Error signal in volts over a sweep trace.
-
-    Differential mode adds the servo offset; derivative mode multiplies the
-    finite-difference derivative by `derivative_scale_hz` so its magnitude is
-    comparable to the differential's.
-    """
-    raw = error_signal(trace, mode)
-    if mode == "derivative":
-        return raw * derivative_scale_hz
-    return raw + required_offset
+    curve: np.ndarray = field(repr=False, compare=False)  # conditioned error over the trace, V
 
 
 def find_lock_point(trace, table, target_feature, mode="derivative",
                     derivative_scale_hz=None) -> LockPoint:
     """Locate the zero crossing of the conditioned error on a named feature.
 
-    Derivative mode locks to the feature's center (the derivative of a
-    symmetric dip crosses zero there, no offset needed). Differential mode
-    locks to the low-frequency half-height side, with required_offset equal
-    to minus half the dip amplitude. Raises UnlockableError when the feature
-    is absent from the trace or its slope is unusably small.
+    The conditioned error, returned over the whole trace as `curve`, is the
+    differential plus the servo offset, or the derivative times
+    `derivative_scale_hz`. Derivative mode locks to the feature's center
+    (the derivative of a symmetric dip crosses zero there, no offset
+    needed). Differential mode locks to the low-frequency half-height side,
+    with required_offset equal to minus half the dip amplitude. Raises
+    UnlockableError when the feature is absent from the trace or its slope
+    is unusably small.
     """
     feature = find_feature(table, target_feature)
     if derivative_scale_hz is None:
@@ -254,7 +246,7 @@ def find_lock_point(trace, table, target_feature, mode="derivative",
         amplitude = abs(dip_amplitude / 2.0)
     elif mode == "derivative":
         required_offset = 0.0
-        curve = conditioned_error_curve(trace, mode, derivative_scale_hz)
+        curve = error_signal(trace, "derivative") * derivative_scale_hz
         amplitude = float(np.abs(curve[sl]).max())
     else:
         raise ValueError(f"unknown lock mode {mode!r}")
@@ -288,6 +280,7 @@ def find_lock_point(trace, table, target_feature, mode="derivative",
         slope=float(slope),
         required_offset=float(required_offset),
         amplitude=amplitude,
+        curve=curve,
     )
 
 
@@ -499,9 +492,7 @@ def build_error_map(table, medium, plant_cfg, ramp_cfg, lock_cfg):
     lock_point = find_lock_point(
         trace, table, lock_cfg.target_feature, lock_cfg.mode, derivative_scale_hz=scale
     )
-    curve = conditioned_error_curve(
-        trace, lock_cfg.mode, scale, required_offset=lock_point.required_offset
-    )
+    curve = lock_point.curve
     axis = trace.detuning_axis
     swept_lo, swept_hi = _swept_span(plant_cfg, ramp_cfg)
     pre_lock_error_peak = float(np.abs(curve[(axis >= swept_lo) & (axis <= swept_hi)]).max())
@@ -522,27 +513,16 @@ def _normal_stream(rng, sigma, n):
     )
 
 
-def _interp(x, xp, fp, slopes, per_hz=0.0):
+def _interp(x, xp, fp, slopes):
     """np.interp(x, xp, fp) for one float, with the same arithmetic.
 
     xp, fp are lists over an increasing axis and slopes[j] is
-    (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]), as numpy computes it. On a
-    uniform axis, `per_hz` = (len(xp) - 1) / (xp[-1] - xp[0]) guesses the
-    interval j from x's offset. The guess is kept only if xp[j] <= x <
-    xp[j + 1]; otherwise bisection finds j, so any per_hz >= 0 gives
-    numpy's j.
+    (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]), as numpy computes it. Bisection
+    finds numpy's interval j, the last with xp[j] <= x.
     """
     if x != x:
         return x
-    try:
-        # A guess below 0 means x < xp[0]; indexed from the end, it fails
-        # the check.
-        j = int((x - xp[0]) * per_hz)
-        if not xp[j] <= x < xp[j + 1]:
-            j = bisect_right(xp, x) - 1
-    except (IndexError, OverflowError, ValueError):
-        # A guess past either end of xp, or an infinite offset.
-        j = bisect_right(xp, x) - 1
+    j = bisect_right(xp, x) - 1
     if j < 0:
         return fp[0]
     if j >= len(slopes) or xp[j] == x:
@@ -578,7 +558,8 @@ def closed_loop_run(
     error is interpolated from a precomputed noise-free error map at the
     plant's instantaneous detuning, plus detector noise. The detuning
     step's time must be > 0: it applies after the step whose interval
-    (t, t + dt] holds it. A mode-hop fault, or a detuning that is no longer
+    (t, t + dt] holds it. The temperature step's time must be finite: it
+    applies from the first step with t >= its time. A mode-hop fault, or a detuning that is no longer
     finite, aborts the scenario with a partial log (meta["aborted"],
     meta["abort_reason"]).
 
@@ -594,6 +575,9 @@ def closed_loop_run(
     detuning_step_time = disturbances.detuning_step_time_s
     if detuning_step_time is not None and not detuning_step_time > 0:
         raise ValueError(f"detuning_step_time_s must be > 0, got {detuning_step_time}")
+    temp_step_time = disturbances.temp_step_time_s
+    if temp_step_time is not None and not math.isfinite(temp_step_time):
+        raise ValueError(f"temp_step_time_s must be finite, got {temp_step_time}")
 
     map_axis, curve, lock_point, dip_fwhm, pre_lock_error_peak = build_error_map(
         table, medium, plant_cfg, ramp_cfg, lock_cfg
@@ -633,7 +617,6 @@ def closed_loop_run(
 
     lock_detuning = lock_point.detuning
     escape_span = lock_cfg.escape_span_hz
-    temp_step_time = disturbances.temp_step_time_s
     temp_step_k = disturbances.temp_step_k
     detuning_step_hz = disturbances.detuning_step_hz
 
@@ -668,7 +651,7 @@ def closed_loop_run(
         if temp_step_time is not None and t >= temp_step_time:
             disturbance = temp_step_k
 
-        # _interp's guess of the interval; a knot, a miss or NaN goes to _interp.
+        # The interval guessed from the uniform map step; a knot, a miss or NaN goes to _interp.
         try:
             j = int((detuning - map_lo) * map_per_hz)
             x_j = map_x[j]
@@ -677,7 +660,7 @@ def closed_loop_run(
         except (IndexError, OverflowError, ValueError):
             error_raw = nan
         if error_raw != error_raw:
-            error_raw = _interp(detuning, map_x, map_y, map_slopes, map_per_hz)
+            error_raw = _interp(detuning, map_x, map_y, map_slopes)
         if add_meas_noise:
             error_raw += meas_noise_v
         error = polarity * error_raw

@@ -131,13 +131,15 @@ class DepthMarkers:
 
     A: off-resonance baseline; B: Doppler valley floor with saturation
     features suppressed; C: probe level at the selected hyperfine feature's
-    extremum; D: probe level at the selected crossover's extremum.
+    extremum; D: probe level at the selected crossover's extremum. features:
+    the window's saturation features (subdoppler_extrema), from extract_markers.
     """
 
     A: float
     B: float
     C: float
     D: float
+    features: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.A > 0:
@@ -576,7 +578,8 @@ def extract_markers(
         raise SweepError("no off-resonance samples for baseline A; widen the sweep")
     a_level = float(np.median(trace.probe[outside]))
 
-    if len(subdoppler_extrema(trace, manifold_window)) == 0:
+    features = subdoppler_extrema(trace, manifold_window)
+    if len(features) == 0:
         raise NoSubDopplerFeaturesError("window contains no saturation features")
 
     sl = trace.window_slice(lo, hi)
@@ -593,13 +596,11 @@ def extract_markers(
         )
     c_level, _ = _feature_extremum(trace, c_line.detuning)
     d_level, _ = _feature_extremum(trace, d_line.detuning)
-    return DepthMarkers(A=a_level, B=b_level, C=c_level, D=d_level)
+    return DepthMarkers(A=a_level, B=b_level, C=c_level, D=d_level, features=features)
 
 
 def depth_metrics(m: DepthMarkers) -> DepthMetrics:
     """The three depth ratios, in percent, exactly as defined."""
-    if m.A == 0:
-        raise ValueError("baseline A is zero; depth ratios undefined")
     return DepthMetrics(
         doppler_depth=(m.A - m.B) / m.A * 100.0,
         hyperfine_depth=(m.B - m.C) / m.A * 100.0,

@@ -164,6 +164,8 @@ class TestConfigParsing:
         ("stop_hz=2.4e9", "stop_hz=2.4e7"),
         ("stop_hz=2.4e9", "stop_hz=0"),
         ("window_margin_hz=6.0e7", "window_margin_hz=6e9"),
+        # an inverted marker window
+        ("window_margin_hz=6.0e7", "window_margin_hz=-3e8"),
     ])
     def test_out_of_range_value_rejected(self, patch):
         old, new = patch
@@ -1023,6 +1025,8 @@ class TestCli:
         ("stop_hz=2.4e9", "stop_hz=2.4e7"),
         ("stop_hz=2.4e9", "stop_hz=0"),
         ("window_margin_hz=6.0e7", "window_margin_hz=6e9"),
+        # an inverted marker window
+        ("window_margin_hz=6.0e7", "window_margin_hz=-3e8"),
     ])
     def test_bad_config_value_exit_two(self, patch, tmp_path, capsys):
         old, new = patch

@@ -39,7 +39,7 @@ from saslock.servo import (
     resolve_thresholds,
     validate_phase_sequence,
 )
-from saslock.spectrum import SweepTrace
+from saslock.spectrum import SweepTrace, error_signal
 
 PLANT = PlantConfig(base_detuning=0.5e9)
 RAMP = RampConfig(span=3.0e9)
@@ -283,9 +283,8 @@ def uniform_axis_cases(draw):
 def test_indexed_interp_matches_numpy_bitwise(case):
     xs, xp, fp = case
     slopes = (np.diff(fp) / np.diff(xp)).tolist()
-    per_hz = (len(xp) - 1) / (xp[-1] - xp[0])
     for x, expected in zip(xs, np.interp(xs, xp, fp).tolist()):
-        assert repr(_interp(x, xp, fp, slopes, per_hz)) == repr(expected), x
+        assert repr(_interp(x, xp, fp, slopes)) == repr(expected), x
 
 
 def dip_trace(center=0.0, amplitude=0.2, width=10e6, span=60e6, n=601):
@@ -312,6 +311,17 @@ class TestFindLockPoint:
         assert lp.required_offset == pytest.approx(-amplitude / 2, rel=0.02)
         # lock point on the low-frequency flank, half a width-ish off center
         assert lp.detuning < find_feature_detuning(table)
+
+    @pytest.mark.parametrize("mode", ["derivative", "differential"])
+    def test_lock_point_carries_its_error_curve(self, table, mode):
+        trace = dip_trace(center=find_feature_detuning(table))
+        lp = find_lock_point(trace, table, "Rb87:F2->co(2,3)", mode, derivative_scale_hz=5e6)
+        expected = (error_signal(trace, "derivative") * 5e6 if mode == "derivative"
+                    else trace.differential + lp.required_offset)
+        assert lp.curve.tobytes() == expected.tobytes()
+        # The curve is left out of repr and ==.
+        assert "curve" not in repr(lp)
+        assert lp == replace(lp, curve=None)
 
     def test_flat_trace_unlockable(self, table):
         center = find_feature_detuning(table)
@@ -593,7 +603,6 @@ def reference_closed_loop(table, medium, plant_cfg, ramp_cfg, pid_cfg, lock_cfg,
     map_x = map_axis.tolist()
     map_y = curve.tolist()
     map_slopes = (np.diff(curve) / np.diff(map_axis)).tolist()
-    map_per_hz = (len(map_x) - 1) / (map_x[-1] - map_x[0])
 
     lock_detuning = lock_point.detuning
     escape_span = lock_cfg.escape_span_hz
@@ -625,7 +634,7 @@ def reference_closed_loop(table, medium, plant_cfg, ramp_cfg, pid_cfg, lock_cfg,
         if temp_step_time is not None and t >= temp_step_time:
             disturbance = temp_step_k
 
-        error_raw = _interp(detuning, map_x, map_y, map_slopes, map_per_hz)
+        error_raw = _interp(detuning, map_x, map_y, map_slopes)
         if add_meas_noise:
             error_raw += meas_noise_v
 
@@ -784,3 +793,19 @@ def test_detuning_step_time_must_be_positive(table, default_cfg):
                 duration=0.1, disturbances=Disturbances(detuning_step_hz=1e6,
                                                         detuning_step_time_s=time_s),
             )
+
+
+def test_temp_step_time_must_be_finite(table, default_cfg):
+    def temperature(time_s):
+        return closed_loop_run(
+            table, default_cfg.medium, PLANT, RAMP, PidConfig(), LockConfig(),
+            duration=0.01, start_locked=True,
+            disturbances=Disturbances(temp_step_k=1.0, temp_step_time_s=time_s),
+        ).temperature
+
+    for time_s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="temp_step_time_s"):
+            temperature(time_s)
+    # A time <= 0 applies the step from the first step.
+    assert temperature(-1.0).tobytes() == temperature(0.0).tobytes()
+    assert temperature(0.0)[0] > temperature(None)[0]

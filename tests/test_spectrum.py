@@ -175,6 +175,17 @@ class TestMarkers:
         assert markers.D > markers.B          # crossover dip rises above the floor
         assert markers.C < markers.B          # selected hyperfine line in the deeper valley
 
+    def test_markers_carry_the_census(self, table, default_cfg, clean_trace):
+        window = manifold_window(table, default_cfg)
+        markers = extract_markers(clean_trace, window, MarkerSelection(), table,
+                                  default_cfg.medium)
+        census = subdoppler_extrema(clean_trace, window)
+        assert markers.features.tobytes() == census.tobytes()
+        # The census is left out of repr and ==.
+        bare = DepthMarkers(A=markers.A, B=markers.B, C=markers.C, D=markers.D)
+        assert markers == bare
+        assert repr(markers) == repr(bare)
+
     def test_selection_must_exist(self, table, default_cfg, clean_trace):
         bad = MarkerSelection(hyperfine_feature="Rb87:F9->F'=1")
         from saslock.errors import UnknownFeatureError
