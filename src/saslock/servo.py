@@ -556,12 +556,12 @@ def closed_loop_run(
 
     The spectroscopy readout is quasi-static: at every step the conditioned
     error is interpolated from a precomputed noise-free error map at the
-    plant's instantaneous detuning, plus detector noise. The detuning
-    step's time must be > 0: it applies after the step whose interval
-    (t, t + dt] holds it. The temperature step's time must be finite: it
-    applies from the first step with t >= its time. A mode-hop fault, or a detuning that is no longer
-    finite, aborts the scenario with a partial log (meta["aborted"],
-    meta["abort_reason"]).
+    plant's instantaneous detuning, plus detector noise. The detuning step's
+    time must be > 0: it applies after the step whose interval (t, t + dt]
+    holds it. The temperature step's time must be finite: it applies from
+    the first step with t >= its time. A mode-hop fault, or a detuning that
+    is no longer finite, aborts the scenario with a partial log
+    (meta["aborted"], meta["abort_reason"]).
 
     The loop is the flat kernel of the module docstring: the supervisor,
     the PID law, the plant update and the error-map lookup are written out
@@ -651,7 +651,7 @@ def closed_loop_run(
         if temp_step_time is not None and t >= temp_step_time:
             disturbance = temp_step_k
 
-        # The interval guessed from the uniform map step; a knot, a miss or NaN goes to _interp.
+        # The map-step guess of the interval; a knot, a miss or NaN goes to _interp.
         try:
             j = int((detuning - map_lo) * map_per_hz)
             x_j = map_x[j]
