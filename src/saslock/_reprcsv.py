@@ -66,6 +66,7 @@ def _d2d_tables():
 _MUL_LO, _MUL_HI, _SHIFT_LO, _SHIFT_HI, _E10, _ZEROS_MASK, _POW5 = _d2d_tables()
 _EXACT_FROM = int(np.flatnonzero((_POW5 != 0) | (_ZEROS_MASK == 0))[0])
 _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
+_HALF = np.array([1] + [5 * 10**k for k in range(19)], dtype=np.uint64)   # 10**k / 2; 1 for k = 0
 
 
 def _mul_high(a0, a1, b):
@@ -139,13 +140,18 @@ def shortest_digits(bits):
     for k in (1, 2, 3):
         removed += vp // 10**k > vm_high // 10**k
     scale = _POW10[removed]
-    vm_low, vm = vm, vm // scale
     digits = vr // scale
     dropped = vr - digits * scale
-    lead = _POW10[removed - (removed > 0)]
-    last = dropped // lead               # the last digit removed
-    vr_zeros &= dropped == last * lead
+    # The last digit removed is 5 or more, or exactly 5 with zeros after it.
+    half = _HALF[removed]
+    up = dropped >= half
+    tie = vr_zeros & (dropped == half)
+    at_vm = digits * scale <= vm          # digits == vm // scale, as vm <= vr
     if vm_zeros.any():
+        lead = _POW10[removed - (removed > 0)]
+        last = dropped // lead
+        vr_zeros &= dropped == last * lead
+        vm_low, vm = vm, vm // scale
         vm_zeros &= vm_low == vm * scale
         # An exact lower bound also gives up its trailing zeros.
         while True:
@@ -157,8 +163,8 @@ def shortest_digits(bits):
             digits[more] //= 10
             vm[more] //= 10
             removed[more] += 1
-    tie_even = vr_zeros & (last == 5) & ((digits & 1) == 0)
-    digits += ((digits == vm) & ~(accept & vm_zeros)) | ((last >= 5) & ~tie_even)
+        up, tie, at_vm = last >= 5, vr_zeros & (last == 5), digits == vm
+    digits += (at_vm & ~(accept & vm_zeros)) | (up & ~(tie & ((digits & 1) == 0)))
     return digits, _E10[e] + removed
 
 

@@ -36,7 +36,6 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -687,15 +686,18 @@ def trace_to_csv(trace: SweepTrace) -> str:
 
 
 def read_series_csv(fileobj):
-    """Read comma-separated float rows from a file object: (meta, header, rows).
+    """Read comma-separated float rows from a seekable file object: (meta, header, rows).
 
     Blank lines and '#' comments, whole-line or trailing, are skipped; each
     whole-line `# key=value` comment goes into the dict `meta`. The first
     remaining line is the header (a list of str), or None when it is all
-    numbers. np.loadtxt reads the rows into a 2-D float array. On a failure
-    the file is reread from the start to raise ValueError("line N: ...") for
-    the first row that is not numeric, as wide as the header (or the first
-    row) or finite.
+    numbers. np.loadtxt reads the body after it into a 2-D float array as it
+    stands, with no comment character; only when that fails (a '#' or a line
+    of blanks fails it) or a row is not finite or as wide as the header is the
+    body reread through a filter of blank and '#' lines, which gives the same
+    bits. When that fails too, the file is reread from the start to raise
+    ValueError("line N: ...") for the first row that is not numeric, as wide
+    as the header (or the first row) or finite.
     """
     meta = {}
 
@@ -704,26 +706,32 @@ def read_series_csv(fileobj):
         if sep:
             meta[key.strip()] = value.strip()
 
-    # np.loadtxt would read a line of blanks, or blanks before '#', as a row;
-    # collect() runs only on those lines, and returns None to drop them.
-    lines = (line for line in fileobj if line.lstrip()[:1] not in ("", "#") or collect(line))
-    first = next(lines, "")
+    start, first = fileobj.tell(), fileobj.readline()
+    while first and first.lstrip()[:1] in ("", "#"):
+        collect(first)
+        start, first = fileobj.tell(), fileobj.readline()
     header = [cell.strip() for cell in _row_body(first).split(",")]
     try:
         [float(cell) for cell in header]
-        header, lines = None, chain([first], lines)
+        header, body = None, start
     except ValueError:
-        pass
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            rows = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
-        if not np.isfinite(rows).all() or (header and len(rows) and rows.shape[1] != len(header)):
-            raise ValueError("non-finite values or rows not as wide as the header")
-    except ValueError as exc:
-        fileobj.seek(0)
-        raise ValueError(_bad_row(fileobj, header) or str(exc)) from None
-    return meta, header, rows
+        body = fileobj.tell()
+    # np.loadtxt would read a line of blanks, or blanks before '#', as a row;
+    # collect() runs only on those lines, and returns None to drop them.
+    filtered = (line for line in fileobj if line.lstrip()[:1] not in ("", "#") or collect(line))
+    for lines, comments in ((fileobj, None), (filtered, "#")):
+        fileobj.seek(body)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                rows = np.loadtxt(lines, delimiter=",", comments=comments, ndmin=2)
+            if not np.isfinite(rows).all() or (header and len(rows) and rows.shape[1] != len(header)):
+                raise ValueError("non-finite values or rows not as wide as the header")
+            return meta, header, rows
+        except ValueError as exc:
+            error = str(exc)
+    fileobj.seek(0)
+    raise ValueError(_bad_row(fileobj, header) or error) from None
 
 
 def _row_body(line):

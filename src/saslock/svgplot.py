@@ -54,7 +54,8 @@ def _m4(runs, y_px):
 
 
 def _polyline(x_px, y_px, color):
-    pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(x_px, y_px))
+    # One format call per vertex; '%.6g' % v is _fmt(v) for every float.
+    pts = " ".join(map("%.6g,%.6g".__mod__, zip(x_px.tolist(), y_px.tolist())))
     return f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{pts}"/>'
 
 

@@ -1,9 +1,11 @@
 """Scenario config validation, bench experiments, ingestion, plots, CLI."""
 
+import io
 import json
 import re
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -873,6 +875,24 @@ def commented_trace_csvs(draw):
     return lines, np.array(rows), linenos
 
 
+@strategies.composite
+def clean_series_csvs(draw):
+    """CSV text with leading blank and `# key=value` lines, an optional header
+    and at least one row of finite floats, with no blank or '#' line after
+    the header."""
+    finite = strategies.floats(allow_nan=False, allow_infinity=False)
+    width = draw(strategies.integers(1, 4))
+    pad = strategies.sampled_from(["", " ", "\t"])
+    head = draw(strategies.lists(strategies.sampled_from(
+        ["", "  ", "# format=sas-test/1", "  # seed = 7", "#note"]), max_size=3))
+    if draw(strategies.booleans()):
+        head.append(",".join(draw(pad) + f"c{i}" for i in range(width)))
+    rows = draw(strategies.lists(strategies.lists(finite, min_size=width, max_size=width),
+                                 min_size=1, max_size=12))
+    body = [",".join(draw(pad) + repr(v) + draw(pad) for v in row) for row in rows]
+    return "\n".join(head + body) + "\n"
+
+
 class TestSeriesCsvProperties:
     """read_trace_csv and ingest_scope_csv read through the same reader."""
 
@@ -910,6 +930,34 @@ class TestSeriesCsvProperties:
         path = re.escape(str(tmp_path / "src.csv"))
         with pytest.raises(IngestError, match=f"^{path}: line {linenos[k]}: "):
             ingest(tmp_path, text, table, default_cfg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(clean_series_csvs())
+    def test_clean_body_reads_as_the_filtered_one(self, text):
+        # A '#' on the last row sends the same rows down the filter route.
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(lines, **kwargs):
+            calls.append(kwargs["comments"])
+            return loadtxt(lines, **kwargs)
+
+        with mock.patch.object(np, "loadtxt", spy):
+            meta, header, rows = read_series_csv(io.StringIO(text))
+            assert calls == [None]
+            filtered = read_series_csv(io.StringIO(text[:-1] + " # c\n"))
+            assert calls == [None, None, "#"]
+        assert (meta, header) == filtered[:2]
+        assert rows.shape == filtered[2].shape
+        assert rows.tobytes() == filtered[2].tobytes()
+
+    def test_key_value_line_after_the_header_reaches_meta(self, tmp_path):
+        text = "# format=x\nt,r,p\n" + numeric_rows(4) + "# gain = 2\n" + numeric_rows(4, start=4)
+        with open(write_source(tmp_path, text), encoding="utf-8") as f:
+            meta, header, rows = read_series_csv(f)
+        assert meta == {"format": "x", "gain": "2"}
+        assert header == ["t", "r", "p"]
+        assert rows.tobytes() == np.array([[k * 0.5, k + 1.0, -k] for k in range(8)]).tobytes()
 
 
 INGEST_ROWS = 8192

@@ -591,7 +591,25 @@ class TestReprCsv:
             # repr writes exponent form below 1e-4 and from 1e16 on
             ulp_neighbours([1e-5, 1e-4, 1e15, 1e16, 1e17, 9999999999999998.0, 0.00012345]),
             ulp_neighbours(EDGE_FLOATS), [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan],
+            # N + 179/512, a temperature-step detuning: a tie that rounds to even
+            [-133274580.34960938],
         ])
+        assert csv_rows([values]) == repr_lines(values)
+
+    def test_powers_of_two_one_per_block(self):
+        # A block holding an exact bound rounds all its values on the exact-bound
+        # path; alone, 45 powers of two need the rule for a digit at the lower bound.
+        for value in [2.0**k for k in range(-1074, 1024)]:
+            values = np.array([value, -value])
+            assert csv_rows([values]) == repr_lines(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(strategies.lists(strategies.tuples(strategies.integers(10**8, 10**9 - 1),
+                                              strategies.integers(0, 255), strategies.booleans()),
+                            min_size=1, max_size=32))
+    def test_halfway_digits_round_to_even(self, draws):
+        # N + k/512 with k odd is an exact 18-digit decimal ending in 5.
+        values = np.array([(n + (2 * k + 1) / 512) * (-1 if neg else 1) for n, k, neg in draws])
         assert csv_rows([values]) == repr_lines(values)
 
     def test_random_bit_patterns(self):
