@@ -75,8 +75,8 @@ def render_line_plot(x, series, *, title, x_label, y_label, annotations=()):
             raise SweepError("series length does not match the axis")
 
     x_lo, x_hi = float(x.min()), float(x.max())
-    y_all = np.concatenate([np.asarray(y, dtype=float) for _, y in series])
-    y_lo, y_hi = float(y_all.min()), float(y_all.max())
+    y_lo = float(np.min([np.min(y) for _, y in series]))
+    y_hi = float(np.max([np.max(y) for _, y in series]))
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
