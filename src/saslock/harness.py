@@ -774,8 +774,7 @@ def ingest_scope_csv(path, table: LineTable, ingest_cfg: IngestConfig) -> SweepT
     if not path.is_file():
         raise IngestError(f"scope CSV not found: {path}")
     try:
-        with open(path, encoding="utf-8") as f:
-            _, header, data = read_series_csv(f)
+        _, header, data = read_series_csv(path)
     except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from None
     if len(data) < 16:

@@ -685,19 +685,22 @@ def trace_to_csv(trace: SweepTrace) -> str:
     return buf.getvalue()
 
 
-def read_series_csv(fileobj):
-    """Read comma-separated float rows from a seekable file object: (meta, header, rows).
+def read_series_csv(path):
+    """Read comma-separated float rows from the file at `path`: (meta, header, rows).
 
     Blank lines and '#' comments, whole-line or trailing, are skipped; each
     whole-line `# key=value` comment goes into the dict `meta`. The first
     remaining line is the header (a list of str), or None when it is all
-    numbers. np.loadtxt reads the body after it into a 2-D float array as it
-    stands, with no comment character; only when that fails (a '#' or a line
-    of blanks fails it) or a row is not finite or as wide as the header is the
-    body reread through a filter of blank and '#' lines, which gives the same
-    bits. When that fails too, the file is reread from the start to raise
-    ValueError("line N: ...") for the first row that is not numeric, as wide
-    as the header (or the first row) or finite.
+    numbers. The lines up to it, the head, are read one at a time; the body
+    after it is read by the first of three routes that succeeds:
+    - np.loadtxt reads the path as it stands, with no comment character,
+      skipping the head's lines; numpy parses a path in C, in chunks;
+    - when that fails (a '#' or a line of blanks fails it) or a row is not
+      finite or as wide as the header, the body is reread through a filter
+      of blank and '#' lines, which gives the same bits;
+    - when that fails too, the file is reread from the start to raise
+      ValueError("line N: ...") for the first row that is not numeric, as
+      wide as the header (or the first row) or finite.
     """
     meta = {}
 
@@ -706,32 +709,35 @@ def read_series_csv(fileobj):
         if sep:
             meta[key.strip()] = value.strip()
 
-    start, first = fileobj.tell(), fileobj.readline()
-    while first and first.lstrip()[:1] in ("", "#"):
-        collect(first)
-        start, first = fileobj.tell(), fileobj.readline()
-    header = [cell.strip() for cell in _row_body(first).split(",")]
-    try:
-        [float(cell) for cell in header]
-        header, body = None, start
-    except ValueError:
-        body = fileobj.tell()
-    # np.loadtxt would read a line of blanks, or blanks before '#', as a row;
-    # collect() runs only on those lines, and returns None to drop them.
-    filtered = (line for line in fileobj if line.lstrip()[:1] not in ("", "#") or collect(line))
-    for lines, comments in ((fileobj, None), (filtered, "#")):
-        fileobj.seek(body)
+    with open(path, encoding="utf-8") as fileobj:
+        head, start, first = 0, fileobj.tell(), fileobj.readline()
+        while first and first.lstrip()[:1] in ("", "#"):
+            collect(first)
+            head, start, first = head + 1, fileobj.tell(), fileobj.readline()
+        header = [cell.strip() for cell in _row_body(first).split(",")]
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                rows = np.loadtxt(lines, delimiter=",", comments=comments, ndmin=2)
-            if not np.isfinite(rows).all() or (header and len(rows) and rows.shape[1] != len(header)):
-                raise ValueError("non-finite values or rows not as wide as the header")
-            return meta, header, rows
-        except ValueError as exc:
-            error = str(exc)
-    fileobj.seek(0)
-    raise ValueError(_bad_row(fileobj, header) or error) from None
+            [float(cell) for cell in header]
+            header, body = None, start
+        except ValueError:
+            head, body = head + 1, fileobj.tell()
+        # np.loadtxt would read a line of blanks, or blanks before '#', as a
+        # row; collect() runs only on those lines, and returns None to drop them.
+        filtered = (line for line in fileobj if line.lstrip()[:1] not in ("", "#") or collect(line))
+        for lines, comments, skiprows in ((path, None, head), (filtered, "#", 0)):
+            fileobj.seek(body)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                    rows = np.loadtxt(lines, delimiter=",", comments=comments, ndmin=2,
+                                      skiprows=skiprows, encoding="utf-8")
+                if not np.isfinite(rows).all() or (
+                        header and len(rows) and rows.shape[1] != len(header)):
+                    raise ValueError("non-finite values or rows not as wide as the header")
+                return meta, header, rows
+            except ValueError as exc:
+                error = str(exc)
+        fileobj.seek(0)
+        raise ValueError(_bad_row(fileobj, header) or error) from None
 
 
 def _row_body(line):
@@ -769,10 +775,10 @@ def _bad_row(lines, header):
     return None
 
 
-def read_trace_csv(text) -> SweepTrace:
-    """Parse sas-trace/1 CSV text, as `write_trace_csv` writes it."""
+def read_trace_csv(path) -> SweepTrace:
+    """Parse the sas-trace/1 CSV file at `path`, as `write_trace_csv` writes it."""
     try:
-        meta, header, rows = read_series_csv(io.StringIO(text))
+        meta, header, rows = read_series_csv(path)
     except ValueError as exc:
         raise SweepError(str(exc)) from None
     if meta.get("format") != TRACE_FORMAT_VERSION:

@@ -1,6 +1,5 @@
 """Scenario config validation, bench experiments, ingestion, plots, CLI."""
 
-import io
 import json
 import re
 import warnings
@@ -168,6 +167,8 @@ class TestConfigParsing:
         ("window_margin_hz=6.0e7", "window_margin_hz=6e9"),
         # an inverted marker window
         ("window_margin_hz=6.0e7", "window_margin_hz=-3e8"),
+        # one sample short of the fewest a sweep takes
+        ("samples=4096", "samples=15"),
     ])
     def test_out_of_range_value_rejected(self, patch):
         old, new = patch
@@ -184,10 +185,18 @@ class TestConfigParsing:
         ("temp_step_time_s=1.0", "temp_step_time_s=12.9999"),
         # 10 steps of sweep_time_s=0.004, the shortest lock time
         ("dt_s=1.0e-4", "dt_s=0.0004"),
+        # the fewest samples a sweep takes
+        ("samples=4096", "samples=16"),
     ])
     def test_values_at_the_caps_accepted(self, patch):
         old, new = patch
         parse_config(patched_config(**{old: new}))
+
+    def test_equal_sweep_bounds_rejected(self):
+        # The marker window check rejects an empty sweep too; the match pins
+        # the rejection to the bound check itself.
+        with pytest.raises(ConfigError, match="sweep bounds inverted"):
+            parse_config(patched_config(**{"start_hz=-1.4e9": "start_hz=2.4e9"}))
 
     @pytest.mark.parametrize("patch", [
         ("hyperfine_feature=Rb85:F3->F'=2", "hyperfine_feature=Rb85:F3->co(3,4)"),
@@ -795,8 +804,7 @@ def write_source(tmp_path, text):
 
 def parse(tmp_path, text):
     """(header, rows) of `text` as the scope reader returns them."""
-    with open(write_source(tmp_path, text), encoding="utf-8") as f:
-        _, header, rows = read_series_csv(f)
+    _, header, rows = read_series_csv(write_source(tmp_path, text))
     return header, rows
 
 
@@ -902,7 +910,7 @@ class TestSeriesCsvProperties:
     def test_clean_rows_read_back_exactly(self, tmp_path, case):
         lines, rows, _ = case
         text = "\n".join(lines) + "\n"
-        trace = read_trace_csv(text)
+        trace = read_trace_csv(write_source(tmp_path, text))
         assert np.column_stack([trace.detuning_axis, trace.reference, trace.probe,
                                 trace.differential]).tobytes() == rows.tobytes()
         header, data = parse(tmp_path, text)
@@ -926,15 +934,48 @@ class TestSeriesCsvProperties:
         lines[linenos[k] - 1] = ",".join(cells) + sep + comment
         text = "\n".join(lines) + "\n"
         with pytest.raises(SweepError, match=f"^line {linenos[k]}: "):
-            read_trace_csv(text)
+            read_trace_csv(write_source(tmp_path, text))
         path = re.escape(str(tmp_path / "src.csv"))
         with pytest.raises(IngestError, match=f"^{path}: line {linenos[k]}: "):
             ingest(tmp_path, text, table, default_cfg)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(clean_series_csvs())
-    def test_clean_body_reads_as_the_filtered_one(self, text):
+    def test_clean_body_reads_as_the_filtered_one(self, tmp_path, text):
         # A '#' on the last row sends the same rows down the filter route.
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(lines, **kwargs):
+            calls.append((lines, kwargs["comments"]))
+            return loadtxt(lines, **kwargs)
+
+        clean, commented = tmp_path / "clean.csv", tmp_path / "commented.csv"
+        clean.write_text(text, encoding="utf-8")
+        commented.write_text(text[:-1] + " # c\n", encoding="utf-8")
+        with mock.patch.object(np, "loadtxt", spy):
+            meta, header, rows = read_series_csv(clean)
+            assert calls == [(clean, None)]
+            filtered = read_series_csv(commented)
+            assert [comments for _, comments in calls] == [None, None, "#"]
+            assert calls[1][0] == commented
+        assert (meta, header) == filtered[:2]
+        assert rows.shape == filtered[2].shape
+        assert rows.tobytes() == filtered[2].tobytes()
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("text, meta, header, count", [
+        ("\n  \n# format=x\n\t\n#note\n \n# gain = 2\n\nt,r,p\n" + numeric_rows(4),
+         {"format": "x", "gain": "2"}, ["t", "r", "p"], 4),
+        ("# format=x\n\n" + numeric_rows(4), {"format": "x"}, None, 4),
+        (numeric_rows(4), {}, None, 4),
+        ("# format=x\n \nt,r,p\n", {"format": "x"}, ["t", "r", "p"], 0),
+    ], ids=["blank-lines-among-comments", "numeric-first-row", "no-head", "header-without-rows"])
+    def test_head_reads_as_the_filtered_one(self, tmp_path, eol, text, meta, header, count):
+        # skiprows counts the head's physical lines, as readline does, at
+        # every line end; the commented copy takes the filter route.
+        commented = text[:-1] + " # c\n" if count else text + "# c\n"
         calls = []
         loadtxt = np.loadtxt
 
@@ -942,19 +983,23 @@ class TestSeriesCsvProperties:
             calls.append(kwargs["comments"])
             return loadtxt(lines, **kwargs)
 
-        with mock.patch.object(np, "loadtxt", spy):
-            meta, header, rows = read_series_csv(io.StringIO(text))
-            assert calls == [None]
-            filtered = read_series_csv(io.StringIO(text[:-1] + " # c\n"))
-            assert calls == [None, None, "#"]
-        assert (meta, header) == filtered[:2]
+        results = []
+        for body, routes in ((text, [None]), (commented, [None, "#"])):
+            path = tmp_path / "head.csv"
+            path.write_bytes(body.replace("\n", eol).encode("utf-8"))
+            calls.clear()
+            with mock.patch.object(np, "loadtxt", spy):
+                results.append(read_series_csv(path))
+            assert calls == routes
+        (got_meta, got_header, rows), filtered = results
+        assert (got_meta, got_header) == filtered[:2] == (meta, header)
         assert rows.shape == filtered[2].shape
         assert rows.tobytes() == filtered[2].tobytes()
+        assert len(rows) == count
 
     def test_key_value_line_after_the_header_reaches_meta(self, tmp_path):
         text = "# format=x\nt,r,p\n" + numeric_rows(4) + "# gain = 2\n" + numeric_rows(4, start=4)
-        with open(write_source(tmp_path, text), encoding="utf-8") as f:
-            meta, header, rows = read_series_csv(f)
+        meta, header, rows = read_series_csv(write_source(tmp_path, text))
         assert meta == {"format": "x", "gain": "2"}
         assert header == ["t", "r", "p"]
         assert rows.tobytes() == np.array([[k * 0.5, k + 1.0, -k] for k in range(8)]).tobytes()

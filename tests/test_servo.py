@@ -559,6 +559,14 @@ class TestClosedLoop:
                     duration=0.1, dt=dt,
                 )
 
+    @pytest.mark.parametrize("duration", [0, -1.0, float("nan")])
+    def test_rejects_non_positive_duration(self, table, default_cfg, duration):
+        with pytest.raises(ValueError, match="duration"):
+            closed_loop_run(
+                table, default_cfg.medium, PLANT, RAMP, PidConfig(), LockConfig(),
+                duration=duration,
+            )
+
     def test_mode_hop_aborts_with_partial_log(self, table, default_cfg):
         tiny = replace(PLANT, mode_hop_span=2.0e9)
         log = closed_loop_run(

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import HealthCheck, given, settings, strategies
 
 from saslock import spectrum
 from saslock._reprcsv import csv_rows
@@ -508,31 +508,39 @@ def random_traces(draw):
     return SweepTrace(*map(np.asarray, (axis, reference, probe, differential)), meta)
 
 
+def read_trace_text(tmp_path, text):
+    """read_trace_csv of `text`, written to a file."""
+    path = tmp_path / "trace.csv"
+    path.write_text(text, encoding="utf-8")
+    return read_trace_csv(path)
+
+
 class TestTraceCsv:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(random_traces())
-    def test_round_trip_exact_for_any_floats(self, trace):
-        again = read_trace_csv(trace_to_csv(trace))
+    def test_round_trip_exact_for_any_floats(self, tmp_path, trace):
+        again = read_trace_text(tmp_path, trace_to_csv(trace))
         for name in ("detuning_axis", "reference", "probe", "differential"):
             assert getattr(again, name).tobytes() == getattr(trace, name).tobytes()
         assert again.meta == {"format": TRACE_FORMAT_VERSION,
                               **{key: str(value) for key, value in trace.meta.items()}}
 
-    def test_round_trip_exact(self, clean_trace):
-        text = trace_to_csv(clean_trace)
-        again = read_trace_csv(text)
+    def test_round_trip_exact(self, tmp_path, clean_trace):
+        again = read_trace_text(tmp_path, trace_to_csv(clean_trace))
         assert np.array_equal(again.detuning_axis, clean_trace.detuning_axis)
         assert np.array_equal(again.probe, clean_trace.probe)
         assert np.array_equal(again.reference, clean_trace.reference)
         assert np.array_equal(again.differential, clean_trace.differential)
 
-    def test_format_header_required(self):
+    def test_format_header_required(self, tmp_path):
         with pytest.raises(SweepError, match="format"):
-            read_trace_csv("detuning_hz,reference_v,probe_v,differential_v\n0,1,1,0\n1,1,1,0\n")
+            read_trace_text(tmp_path,
+                            "detuning_hz,reference_v,probe_v,differential_v\n0,1,1,0\n1,1,1,0\n")
 
     @pytest.mark.parametrize("row, column", [(5, 2), (7, 1), (-1, 0)])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc", "1_0", "\uff11"])
-    def test_non_finite_rejected(self, row, column, value):
+    def test_non_finite_rejected(self, tmp_path, row, column, value):
         # The last axis value being inf used to pass the increasing check,
         # and "abc" used to escape as a ValueError naming no line. float()
         # reads "1_0" and a full-width "1", but np.loadtxt does not, and the
@@ -545,13 +553,13 @@ class TestTraceCsv:
         lineno = row + 1 if row >= 0 else len(lines)
         problem = "non-finite" if value in ("nan", "inf", "-inf") else "non-numeric"
         with pytest.raises(SweepError, match=f"line {lineno}: {problem}"):
-            read_trace_csv("\n".join(lines))
+            read_trace_text(tmp_path, "\n".join(lines))
 
-    def test_non_monotone_rejected(self, clean_trace):
+    def test_non_monotone_rejected(self, tmp_path, clean_trace):
         lines = trace_to_csv(clean_trace).splitlines()
         lines[10], lines[200] = lines[200], lines[10]
         with pytest.raises(SweepError, match="increasing"):
-            read_trace_csv("\n".join(lines))
+            read_trace_text(tmp_path, "\n".join(lines))
 
 
 def repr_series_csv(fmt, meta, keys, columns):
