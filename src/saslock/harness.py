@@ -36,6 +36,7 @@ from .errors import (
     LineDataError,
     NoSubDopplerFeaturesError,
     UnknownFeatureError,
+    UnlockableError,
 )
 from .plant import PlantConfig, RampConfig
 from .servo import (
@@ -514,21 +515,25 @@ def _phases(log: TimeSeriesLog):
 
 
 def _run_closed_loop(cfg, seed, duration, disturbances=Disturbances()):
-    table = cfg.load_table()
-    return closed_loop_run(
-        table,
-        cfg.medium,
-        cfg.plant,
-        cfg.ramp,
-        cfg.pid,
-        cfg.lock,
-        duration=duration,
-        dt=cfg.run.dt_s,
-        seed=seed,
-        detector_noise_v=cfg.noise.sigma_v,
-        noise_enabled=cfg.noise.enabled,
-        disturbances=disturbances,
-    )
+    """The closed-loop run of `cfg`. The noise-free error map is a pure function
+    of the config, so a target it cannot lock on is a ConfigError."""
+    try:
+        return closed_loop_run(
+            cfg.load_table(),
+            cfg.medium,
+            cfg.plant,
+            cfg.ramp,
+            cfg.pid,
+            cfg.lock,
+            duration=duration,
+            dt=cfg.run.dt_s,
+            seed=seed,
+            detector_noise_v=cfg.noise.sigma_v,
+            noise_enabled=cfg.noise.enabled,
+            disturbances=disturbances,
+        )
+    except UnlockableError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def run_lock_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None) -> ExperimentReport:
@@ -792,10 +797,7 @@ def ingest_scope_csv(path, table: LineTable, ingest_cfg: IngestConfig) -> SweepT
     steps = np.diff(time)
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise IngestError(f"{path}: time axis is not monotone")
-    if steps[0] < 0:
-        time, reference, probe, differential = (
-            time[::-1].copy(), reference[::-1].copy(), probe[::-1].copy(), differential[::-1].copy()
-        )
+    rising = slice(None, None, 1 if steps[0] > 0 else -1)
 
     feat_a = find_feature(table, ingest_cfg.feature_a)
     feat_b = find_feature(table, ingest_cfg.feature_b)
@@ -804,7 +806,7 @@ def ingest_scope_csv(path, table: LineTable, ingest_cfg: IngestConfig) -> SweepT
 
     nu_a = feat_a.detuning
     t_a, t_b, margin = _calibration_feature_times(
-        time, probe, differential, table, nu_a, feat_b.detuning
+        time[rising], probe[rising], differential[rising], table, nu_a, feat_b.detuning
     )
     if ingest_cfg.known_separation_hz:
         sep = ingest_cfg.known_separation_hz * math.copysign(
@@ -814,12 +816,8 @@ def ingest_scope_csv(path, table: LineTable, ingest_cfg: IngestConfig) -> SweepT
         sep = feat_b.detuning - feat_a.detuning
     slope = sep / (t_b - t_a)
     detuning = nu_a + (time - t_a) * slope
-
-    if slope < 0:
-        detuning, reference, probe, differential = (
-            detuning[::-1].copy(), reference[::-1].copy(), probe[::-1].copy(),
-            differential[::-1].copy(),
-        )
+    # Views, as calibration's: the trace is turned round once, so that detuning rises.
+    order = slice(None, None, 1 if detuning[-1] > detuning[0] else -1)
     meta = {
         "format": TRACE_FORMAT_VERSION,
         "noise_seed": None,
@@ -832,7 +830,7 @@ def ingest_scope_csv(path, table: LineTable, ingest_cfg: IngestConfig) -> SweepT
             "order_margin": margin,
         },
     }
-    return SweepTrace(detuning, reference, probe, differential, meta)
+    return SweepTrace(detuning[order], reference[order], probe[order], differential[order], meta)
 
 
 def _valley_regions(time, probe):

@@ -32,7 +32,6 @@ two detectors, both spawned from one seed.
 """
 
 import hashlib
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -679,12 +678,6 @@ def write_trace_csv(trace: SweepTrace, fileobj):
                      dict(zip(_TRACE_COLUMNS, channels)))
 
 
-def trace_to_csv(trace: SweepTrace) -> str:
-    buf = io.StringIO()
-    write_trace_csv(trace, buf)
-    return buf.getvalue()
-
-
 def read_series_csv(path):
     """Read comma-separated float rows from the file at `path`: (meta, header, rows).
 
@@ -774,19 +767,3 @@ def _bad_row(lines, header):
             return f"line {lineno}: non-finite value in row {body!r}"
     return None
 
-
-def read_trace_csv(path) -> SweepTrace:
-    """Parse the sas-trace/1 CSV file at `path`, as `write_trace_csv` writes it."""
-    try:
-        meta, header, rows = read_series_csv(path)
-    except ValueError as exc:
-        raise SweepError(str(exc)) from None
-    if meta.get("format") != TRACE_FORMAT_VERSION:
-        raise SweepError(f"unsupported trace format {meta.get('format')!r}")
-    if header != list(_TRACE_COLUMNS):
-        raise SweepError(f"unexpected trace CSV header {header}")
-    if len(rows) < 2:
-        raise SweepError("trace CSV holds fewer than 2 samples")
-    if not np.all(np.diff(rows[:, 0]) > 0):
-        raise SweepError("trace CSV detuning axis not strictly increasing")
-    return SweepTrace(*rows.T, meta)

@@ -1,6 +1,7 @@
 """Scenario config validation, bench experiments, ingestion, plots, CLI."""
 
 import json
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies
 
+from saslock.atomic_data import find_feature
 from saslock.cli import main as cli_main
 from saslock.errors import ConfigError, IngestError, SweepError
 from saslock.harness import (
@@ -38,7 +40,6 @@ from saslock.spectrum import (
     NoiseConfig,
     extract_markers,
     read_series_csv,
-    read_trace_csv,
     synthesize_sweep,
 )
 from saslock.svgplot import render_line_plot
@@ -169,10 +170,16 @@ class TestConfigParsing:
         ("window_margin_hz=6.0e7", "window_margin_hz=-3e8"),
         # one sample short of the fewest a sweep takes
         ("samples=4096", "samples=15"),
+        # one step past the map's low end on the target, and a zero-width
+        # marker window: (old, new, message)
+        ("base_detuning_hz=5.0e8",
+         f"base_detuning_hz={math.nextafter(1416674050.0, math.inf)!r}",
+         "outside the error map"),
+        ("window_margin_hz=6.0e7", "window_margin_hz=-211796250.0", "inverted"),
     ])
     def test_out_of_range_value_rejected(self, patch):
-        old, new = patch
-        with pytest.raises(ConfigError):
+        old, new, *message = patch
+        with pytest.raises(ConfigError, match=message[0] if message else None):
             parse_config(patched_config(**{old: new}))
 
     @pytest.mark.parametrize("patch", [
@@ -187,6 +194,8 @@ class TestConfigParsing:
         ("dt_s=1.0e-4", "dt_s=0.0004"),
         # the fewest samples a sweep takes
         ("samples=4096", "samples=16"),
+        # the error map's low end, base - span / 2 - 50 MHz, on the target
+        ("base_detuning_hz=5.0e8", "base_detuning_hz=1416674050.0"),
     ])
     def test_values_at_the_caps_accepted(self, patch):
         old, new = patch
@@ -902,18 +911,14 @@ def clean_series_csvs(draw):
 
 
 class TestSeriesCsvProperties:
-    """read_trace_csv and ingest_scope_csv read through the same reader."""
+    """read_series_csv, alone and under ingest_scope_csv."""
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(commented_trace_csvs())
     def test_clean_rows_read_back_exactly(self, tmp_path, case):
         lines, rows, _ = case
-        text = "\n".join(lines) + "\n"
-        trace = read_trace_csv(write_source(tmp_path, text))
-        assert np.column_stack([trace.detuning_axis, trace.reference, trace.probe,
-                                trace.differential]).tobytes() == rows.tobytes()
-        header, data = parse(tmp_path, text)
+        header, data = parse(tmp_path, "\n".join(lines) + "\n")
         assert header == ["detuning_hz", "reference_v", "probe_v", "differential_v"]
         assert data.tobytes() == rows.tobytes()
 
@@ -933,8 +938,8 @@ class TestSeriesCsvProperties:
             cells[column] = corruption
         lines[linenos[k] - 1] = ",".join(cells) + sep + comment
         text = "\n".join(lines) + "\n"
-        with pytest.raises(SweepError, match=f"^line {linenos[k]}: "):
-            read_trace_csv(write_source(tmp_path, text))
+        with pytest.raises(ValueError, match=f"^line {linenos[k]}: "):
+            read_series_csv(write_source(tmp_path, text))
         path = re.escape(str(tmp_path / "src.csv"))
         with pytest.raises(IngestError, match=f"^{path}: line {linenos[k]}: "):
             ingest(tmp_path, text, table, default_cfg)
@@ -1008,16 +1013,23 @@ class TestSeriesCsvProperties:
 INGEST_ROWS = 8192
 
 
-def write_scope_export(path, trace, time_s, rows_reversed):
-    """A `time_s,reference_v,probe_v` scope export of `trace` on the axis `time_s`."""
-    columns = [time_s, trace.reference, trace.probe]
+def write_scope_export(path, trace, time_s, rows_reversed, **extra):
+    """A `time_s,reference_v,probe_v` scope export of `trace` on the axis `time_s`,
+    with one more column for each of `extra`, by name."""
+    columns = [time_s, trace.reference, trace.probe, *extra.values()]
     if rows_reversed:
         columns = [c[::-1] for c in columns]
     path.write_text(
-        "time_s,reference_v,probe_v\n"
-        + "".join(f"{t!r},{r!r},{p!r}\n" for t, r, p in zip(*(c.tolist() for c in columns))),
+        ",".join(["time_s", "reference_v", "probe_v", *extra]) + "\n"
+        + "".join(",".join(map(repr, row)) + "\n" for row in zip(*(c.tolist() for c in columns))),
         encoding="utf-8",
     )
+
+
+def noisy_sweep(cfg, table, noise_seed):
+    start, stop, _ = cfg.sweep
+    noise = replace(cfg.noise, enabled=True, seed=noise_seed)
+    return synthesize_sweep(table, cfg.medium, (start, stop, INGEST_ROWS), noise)
 
 
 @pytest.mark.parametrize("orientation", ["rising", "falling"])
@@ -1050,6 +1062,66 @@ def test_ingest_recovers_affine_axis(default_cfg, table, tmp_path, orientation,
     markers = extract_markers(got, window, selection, table, default_cfg.medium)
     for key in "ABCD":
         assert getattr(markers, key) == pytest.approx(getattr(truth, key), rel=0.01)
+
+
+@pytest.mark.parametrize("orientation", ["rising", "falling"])
+@pytest.mark.parametrize("noise_seed", [1, 2])
+def test_row_reversed_export_ingests_identically(default_cfg, table, tmp_path, orientation,
+                                                  noise_seed):
+    # Either row order of one export gives the same trace, byte for byte:
+    # ingest turns the columns round to rising detuning, whatever the order.
+    trace = noisy_sweep(default_cfg, table, noise_seed)
+    sign = 1.0 if orientation == "rising" else -1.0
+    time_s = 0.01 + sign * 0.02 * np.arange(INGEST_ROWS) / (INGEST_ROWS - 1)
+    icfg = replace(default_cfg.ingest, time_column="time_s")
+    got = []
+    for rows_reversed in (False, True):
+        path = tmp_path / f"scope-{rows_reversed}.csv"
+        write_scope_export(path, trace, time_s, rows_reversed)
+        got.append(ingest_scope_csv(path, table, icfg))
+    forward, backward = got
+    assert forward.meta == backward.meta
+    assert math.copysign(1.0, forward.meta["calibration"]["slope_hz_per_unit"]) == sign
+    for name in ("detuning_axis", "reference", "probe", "differential"):
+        assert getattr(forward, name).tobytes() == getattr(backward, name).tobytes()
+
+
+class TestIngestOptions:
+    """The ingest keys that the bundled config leaves off."""
+
+    @staticmethod
+    def slope(trace):
+        return trace.meta["calibration"]["slope_hz_per_unit"]
+
+    @pytest.fixture
+    def export(self, default_cfg, table, tmp_path):
+        """(path, differential): an export with `2 * (probe - reference)` in
+        its own `twice_differential_v` column."""
+        trace = noisy_sweep(default_cfg, table, 1)
+        differential = 2 * (trace.probe - trace.reference)
+        time_s = 0.01 + 0.02 * np.arange(INGEST_ROWS) / (INGEST_ROWS - 1)
+        path = tmp_path / "scope.csv"
+        write_scope_export(path, trace, time_s, False, twice_differential_v=differential)
+        return path, differential
+
+    def test_known_separation_scales_the_slope(self, default_cfg, table, export):
+        path, _ = export
+        icfg = replace(default_cfg.ingest, time_column="time_s")
+        separation = abs(find_feature(table, icfg.feature_b).detuning
+                         - find_feature(table, icfg.feature_a).detuning)
+        slopes = [self.slope(ingest_scope_csv(path, table, replace(icfg, known_separation_hz=s)))
+                  for s in (0.0, separation, 2 * separation)]
+        assert slopes[1].hex() == slopes[0].hex()
+        assert slopes[2] == 2 * slopes[0]
+
+    def test_named_differential_column(self, default_cfg, table, export):
+        path, differential = export
+        icfg = replace(default_cfg.ingest, time_column="time_s")
+        computed = ingest_scope_csv(path, table, icfg)
+        named = ingest_scope_csv(path, table,
+                                 replace(icfg, differential_column="twice_differential_v"))
+        assert named.differential.tobytes() == differential.tobytes()
+        assert self.slope(named) == self.slope(computed)
 
 
 class TestPlots:
@@ -1155,6 +1227,29 @@ class TestCli:
         code = cli_main(["--config", str(cfg), "--out", str(tmp_path), "sweep"])
         assert code == 3
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("patch, message, sweep_code", [
+        ({"saturation_s=2.0": "saturation_s=0.0"}, "produces no error signal", 1),
+        ({"dip_contrast=0.3": "dip_contrast=0.0"}, "produces no error signal", 1),
+        ({"temperature_k=312.65": "temperature_k=3.1265",
+          "crossover_enhancement=5.0": "crossover_enhancement=500"}, "no usable zero crossing", 1),
+        ({"base_detuning_hz=5.0e8": "base_detuning_hz=1.4166e9"}, "no usable zero crossing", 0),
+        # the error map's low end on the target
+        ({"base_detuning_hz=5.0e8": "base_detuning_hz=1416674050.0"},
+         "no usable zero crossing", 0),
+    ])
+    def test_unlockable_target_exit_two(self, patch, message, sweep_code, tmp_path, capsys):
+        # The noise-free error map decides these before the loop runs. The
+        # sweep builds no map and still runs to its verdict.
+        cfg, out = tmp_path / "unlockable.cfg", tmp_path / "out"
+        cfg.write_text(patched_config(**patch))
+        code = cli_main(["--config", str(cfg), "--out", str(out), "lock"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
+        assert not (out / "lock_timeseries.csv").exists()
+        assert cli_main(["--config", str(cfg), "--out", str(out), "sweep"]) == sweep_code
 
     def test_env_var_config_dir(self, tmp_path, monkeypatch, capsys):
         confdir = tmp_path / "conf"
