@@ -51,6 +51,11 @@ class ModeHopError(SaslockError):
 class UnlockableError(SaslockError):
     """No usable lock point (feature absent or slope too small)."""
 
+    def __init__(self, feature, reason):
+        super().__init__(f"feature {feature!r} {reason}")
+        self.feature = feature
+        self.reason = reason
+
 
 class IngestError(SaslockError):
     """External scope CSV could not be parsed or calibrated."""

@@ -14,7 +14,7 @@ and no wall-clock time enters any artifact, so reruns are byte-identical.
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from importlib import resources
 from itertools import product
 from pathlib import Path
@@ -45,6 +45,7 @@ from .servo import (
     LockConfig,
     PidConfig,
     TimeSeriesLog,
+    build_error_map,
     closed_loop_run,
     error_map_extent,
     write_locklog_csv,
@@ -158,11 +159,31 @@ class ScenarioConfig:
     lock: LockConfig = LockConfig()
     run: RunConfig = RunConfig()
     ingest: IngestConfig = IngestConfig()
+    # The file or name the config was parsed from; not part of its value.
+    source: str = field(default="<config>", repr=False, compare=False)
 
     def load_table(self) -> LineTable:
+        """The line table, parsed on the first call for this config object."""
+        return self._table
+
+    @cached_property
+    def _table(self):
         if self.lines_path == "bundled":
             return load_default_line_data()
         return load_line_data(self.lines_path)
+
+    @cached_property
+    def error_map(self):
+        """The noise-free error map of `build_error_map` that `closed_loop_run`
+        takes, built on first use for this config object. It is a pure
+        function of the config, so a target it cannot lock on is a ConfigError.
+        """
+        try:
+            return build_error_map(self.load_table(), self.medium, self.plant, self.ramp,
+                                   self.lock)
+        except UnlockableError as exc:
+            raise ConfigError(
+                f"{self.source}: [lock] target_feature {exc.feature!r} {exc.reason}") from None
 
     def fingerprint(self):
         return sha256_16(repr(self))
@@ -282,8 +303,8 @@ def parse_config(text, source="<string>") -> ScenarioConfig:
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"{source}: invalid [{section}] section: {exc}") from None
 
-    cfg = ScenarioConfig(**kwargs)
-    validate_config(cfg, source)
+    cfg = ScenarioConfig(**kwargs, source=source)
+    validate_config(cfg)
     return cfg
 
 
@@ -304,8 +325,9 @@ def load_default_config() -> ScenarioConfig:
     )
 
 
-def validate_config(cfg: ScenarioConfig, source="<config>"):
+def validate_config(cfg: ScenarioConfig):
     """Cross-field checks the per-dataclass invariants cannot see."""
+    source = cfg.source
     start, stop, n = cfg.sweep
     if not stop > start:
         raise ConfigError(f"{source}: sweep bounds inverted: [{start}, {stop}]")
@@ -515,25 +537,22 @@ def _phases(log: TimeSeriesLog):
 
 
 def _run_closed_loop(cfg, seed, duration, disturbances=Disturbances()):
-    """The closed-loop run of `cfg`. The noise-free error map is a pure function
-    of the config, so a target it cannot lock on is a ConfigError."""
-    try:
-        return closed_loop_run(
-            cfg.load_table(),
-            cfg.medium,
-            cfg.plant,
-            cfg.ramp,
-            cfg.pid,
-            cfg.lock,
-            duration=duration,
-            dt=cfg.run.dt_s,
-            seed=seed,
-            detector_noise_v=cfg.noise.sigma_v,
-            noise_enabled=cfg.noise.enabled,
-            disturbances=disturbances,
-        )
-    except UnlockableError as exc:
-        raise ConfigError(str(exc)) from None
+    """The closed-loop run of `cfg`, on the config's error map."""
+    return closed_loop_run(
+        cfg.load_table(),
+        cfg.medium,
+        cfg.plant,
+        cfg.ramp,
+        cfg.pid,
+        cfg.lock,
+        duration=duration,
+        dt=cfg.run.dt_s,
+        seed=seed,
+        detector_noise_v=cfg.noise.sigma_v,
+        noise_enabled=cfg.noise.enabled,
+        disturbances=disturbances,
+        error_map=cfg.error_map,
+    )
 
 
 def run_lock_experiment(cfg: ScenarioConfig, out_dir, fmt="json", seed=None) -> ExperimentReport:

@@ -38,7 +38,15 @@ blocks. The run keeps no PID state, so with kd == 0 its law keeps no
 derivative window. Each step stores into the preallocated logs through
 memoryviews, but phases are not stored per step: the kernel records the
 step where each run of one phase begins, and the log derives per-sample
-codes, indices into `PHASES`, from those records.
+codes, indices into `PHASES`, from those records. What does not change
+within a run is settled before the loop: the step where the temperature
+step begins, the negated thresholds, and `int` bound to a local, so that a
+locked step reads no global name.
+
+The noise-free error map is a pure function of the line table, medium,
+plant, ramp and lock configs. `closed_loop_run` builds it, unless the
+caller passes the map `build_error_map` gave for those configs; the
+harness builds it once per config and hands it to each of its runs.
 
 The single-step functions are the kernel's reference: the logs, records
 and meta of a run are bit-identical to a loop that calls `_interp`,
@@ -47,7 +55,7 @@ the kernel to that loop.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import astuple, dataclass, field, replace
 from itertools import chain, repeat
 
@@ -228,13 +236,12 @@ def find_lock_point(trace, table, target_feature, mode="derivative",
     axis = trace.detuning_axis
     if not (axis[0] <= feature.detuning <= axis[-1]):
         raise UnlockableError(
-            f"feature {target_feature!r} at {feature.detuning / 1e6:.1f} MHz "
-            "outside the swept range"
+            target_feature, f"at {feature.detuning / 1e6:.1f} MHz lies outside the swept range"
         )
     span = 6.0 * derivative_scale_hz
     sl = trace.window_slice(feature.detuning - span, feature.detuning + span)
     if sl.stop - sl.start < 5:
-        raise UnlockableError("too few samples across the target feature")
+        raise UnlockableError(target_feature, "has too few samples across it")
 
     if mode == "differential":
         segment = trace.differential[sl]
@@ -252,7 +259,7 @@ def find_lock_point(trace, table, target_feature, mode="derivative",
         raise ValueError(f"unknown lock mode {mode!r}")
 
     if amplitude < 1e-9:
-        raise UnlockableError(f"feature {target_feature!r} produces no error signal")
+        raise UnlockableError(target_feature, "produces no error signal")
 
     # Zero crossings inside the feature window, nearest the nominal center;
     # differential mode restricts to the low-frequency side of the extremum.
@@ -272,7 +279,7 @@ def find_lock_point(trace, table, target_feature, mode="derivative",
     crossings = [(x0, sl_) for x0, sl_ in crossings if abs(sl_) >= min_slope]
     if not crossings:
         raise UnlockableError(
-            f"no usable zero crossing on {target_feature!r} (slope below threshold)"
+            target_feature, "has no usable zero crossing (slope below threshold)"
         )
     x0, slope = min(crossings, key=lambda c: abs(c[0] - feature.detuning))
     return LockPoint(
@@ -551,6 +558,7 @@ def closed_loop_run(
     noise_enabled=True,
     disturbances: Disturbances = Disturbances(),
     start_locked=False,
+    error_map=None,
 ) -> TimeSeriesLog:
     """Step plant and servo on a shared clock; returns the full time series.
 
@@ -559,9 +567,12 @@ def closed_loop_run(
     plant's instantaneous detuning, plus detector noise. The detuning step's
     time must be > 0: it applies after the step whose interval (t, t + dt]
     holds it. The temperature step's time must be finite: it applies from
-    the first step with t >= its time. A mode-hop fault, or a detuning that
-    is no longer finite, aborts the scenario with a partial log
-    (meta["aborted"], meta["abort_reason"]).
+    the first step with t >= its time, which is found before the loop. A
+    mode-hop fault, or a detuning that is no longer finite, aborts the
+    scenario with a partial log (meta["aborted"], meta["abort_reason"]).
+
+    `error_map` is what `build_error_map` returns for the same table,
+    medium, plant, ramp and lock configs; without it the run builds its own.
 
     The loop is the flat kernel of the module docstring: the supervisor,
     the PID law, the plant update and the error-map lookup are written out
@@ -579,9 +590,9 @@ def closed_loop_run(
     if temp_step_time is not None and not math.isfinite(temp_step_time):
         raise ValueError(f"temp_step_time_s must be finite, got {temp_step_time}")
 
-    map_axis, curve, lock_point, dip_fwhm, pre_lock_error_peak = build_error_map(
-        table, medium, plant_cfg, ramp_cfg, lock_cfg
-    )
+    if error_map is None:
+        error_map = build_error_map(table, medium, plant_cfg, ramp_cfg, lock_cfg)
+    map_axis, curve, lock_point, dip_fwhm, pre_lock_error_peak = error_map
     lock_cfg = resolve_thresholds(lock_cfg, lock_point, dip_fwhm)
     # The PID state is internal to the run, so the window may be skipped.
     gains, lock_v, loss_v, hold_time, loss_time, relock_delay, sweep_time, alpha = (
@@ -598,6 +609,10 @@ def closed_loop_run(
         polarity = -polarity
 
     n = int(round(duration / dt))
+    # The first step with k * dt >= the step's time, by the loop's own test:
+    # k * dt never falls as k rises. n when no step of the run reaches it.
+    temp_step_at = n if temp_step_time is None else bisect_left(
+        range(n), True, key=lambda k: k * dt >= temp_step_time)
     seq = np.random.SeedSequence(seed).spawn(2)
     plant_rng = np.random.default_rng(seq[0])
     meas_rng = np.random.default_rng(seq[1])
@@ -617,6 +632,10 @@ def closed_loop_run(
 
     lock_detuning = lock_point.detuning
     escape_span = lock_cfg.escape_span_hz
+    # Held in locals, so that the engaging and locked path reads no global.
+    neg_lock_v, neg_loss_v, neg_escape_span, neg_half_span = (
+        -lock_v, -loss_v, -escape_span, -half_span)
+    to_int = int
     temp_step_k = disturbances.temp_step_k
     detuning_step_hz = disturbances.detuning_step_hz
 
@@ -647,13 +666,12 @@ def closed_loop_run(
     abort_reason = ""
 
     for k, plant_noise_hz, meas_noise_v in zip(range(n), plant_noise, meas_noise):
-        t = k * dt
-        if temp_step_time is not None and t >= temp_step_time:
+        if k == temp_step_at:
             disturbance = temp_step_k
 
         # The map-step guess of the interval; a knot, a miss or NaN goes to _interp.
         try:
-            j = int((detuning - map_lo) * map_per_hz)
+            j = to_int((detuning - map_lo) * map_per_hz)
             x_j = map_x[j]
             error_raw = (map_slopes[j] * (detuning - x_j) + map_y[j]
                          if x_j < detuning < map_x[j + 1] else nan)
@@ -699,17 +717,17 @@ def closed_loop_run(
             prev_error = error
 
             if phase == "locked":
-                if filtered > loss_v or filtered < -loss_v:
+                if filtered > loss_v or filtered < neg_loss_v:
                     qualify += dt
                 else:
                     qualify = 0.0
                 # An escape from the lock point is lost at once. Engaging
                 # restarts qualify, so counting it on that step is harmless.
                 escape = detuning - lock_detuning
-                if escape > escape_span or escape < -escape_span or qualify >= loss_time:
+                if escape > escape_span or escape < neg_escape_span or qualify >= loss_time:
                     phase = transitions[k] = "lost"
                     time_in_phase = 0.0
-            elif -lock_v < filtered < lock_v:
+            elif neg_lock_v < filtered < lock_v:
                 qualify += dt
                 if qualify >= hold_time:
                     phase = transitions[k] = "locked"
@@ -745,7 +763,7 @@ def closed_loop_run(
             + plant_noise_hz
         )
         # The envelope test; a NaN detuning fails it too.
-        if not -half_span <= detuning - base <= half_span:
+        if not neg_half_span <= detuning - base <= half_span:
             exc = ModeHopError(detuning, span, elapsed)
             steps = k   # the aborting step is not logged
             aborted = True
@@ -757,7 +775,7 @@ def closed_loop_run(
                 )
             break
 
-        if detuning_step_time is not None and t < detuning_step_time <= t + dt:
+        if detuning_step_time is not None and (t := k * dt) < detuning_step_time <= t + dt:
             base += detuning_step_hz
 
         store_detuning[k] = detuning

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies
 
+from saslock import atomic_data, servo
 from saslock.atomic_data import find_feature
 from saslock.cli import main as cli_main
 from saslock.errors import ConfigError, IngestError, SweepError
@@ -1239,14 +1241,15 @@ class TestCli:
          "no usable zero crossing", 0),
     ])
     def test_unlockable_target_exit_two(self, patch, message, sweep_code, tmp_path, capsys):
-        # The noise-free error map decides these before the loop runs. The
-        # sweep builds no map and still runs to its verdict.
+        # The noise-free error map decides these before the loop runs, and
+        # its error names the config and the key. The sweep builds no map
+        # and still runs to its verdict.
         cfg, out = tmp_path / "unlockable.cfg", tmp_path / "out"
         cfg.write_text(patched_config(**patch))
         code = cli_main(["--config", str(cfg), "--out", str(out), "lock"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ")
+        assert err.startswith(f"config error: {cfg}: [lock] target_feature 'Rb87:F2->co(2,3)' ")
         assert message in err
         assert not (out / "lock_timeseries.csv").exists()
         assert cli_main(["--config", str(cfg), "--out", str(out), "sweep"]) == sweep_code
@@ -1266,3 +1269,57 @@ class TestCli:
         body = (tmp_path / "sweep_report.csv").read_text()
         assert body.startswith("criterion,passed,measured,requirement,units")
         assert "doppler_depth,True" in body
+
+
+def spy_calls(monkeypatch, module, name):
+    """Calls of module.name, recorded wherever the package binds the function."""
+    original = getattr(module, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for bound in [m for key, m in sys.modules.items() if key.startswith("saslock.")]:
+        if vars(bound).get(name) is original:
+            monkeypatch.setattr(bound, name, spy)
+    return calls
+
+
+class TestOncePerConfig:
+    """A command parses the line table once and builds the noise-free error
+    map at most once, and only when it locks."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return {"maps": spy_calls(monkeypatch, servo, "build_error_map"),
+                "tables": spy_calls(monkeypatch, atomic_data, "parse_line_data")}
+
+    def test_all_builds_one_map(self, calls, tmp_path):
+        # Shorter runs than the default's: the counts do not depend on them.
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(patched_config(**{"lock_duration_s=1.2": "lock_duration_s=0.3",
+                                         "temp_step_duration_s=13.0": "temp_step_duration_s=1.5"}))
+        code = cli_main(["--config", str(cfg), "--out", str(tmp_path / "out"), "all"])
+        assert code in (0, 1)
+        assert [p.name for p in sorted((tmp_path / "out").glob("*_report.json"))] == [
+            "fluorescence_report.json", "lock_report.json", "sweep_report.json",
+            "temp_step_report.json"]
+        assert (len(calls["maps"]), len(calls["tables"])) == (1, 1)
+
+    def test_sweep_and_analyze_build_no_map(self, calls, sweep_run, tmp_path):
+        assert cli_main(["--out", str(tmp_path), "sweep"]) == 0
+        _, out = sweep_run
+        assert cli_main(["--out", str(tmp_path), "analyze", str(out / "sweep_trace.csv")]) == 0
+        assert (len(calls["maps"]), len(calls["tables"])) == (0, 2)
+
+    def test_config_load_builds_no_map(self, calls):
+        cfg = load_default_config()
+        assert (len(calls["maps"]), len(calls["tables"])) == (0, 1)
+        assert cfg.load_table() is cfg.load_table()
+        assert cfg.error_map is cfg.error_map
+        assert (len(calls["maps"]), len(calls["tables"])) == (1, 1)
+        # A copy is a new config object, with its own table and map.
+        copy = replace(cfg, lock=replace(cfg.lock, mode="differential"))
+        assert copy.error_map[2] != cfg.error_map[2]
+        assert (len(calls["maps"]), len(calls["tables"])) == (2, 2)

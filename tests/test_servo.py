@@ -40,6 +40,7 @@ from saslock.servo import (
     validate_phase_sequence,
 )
 from saslock.spectrum import SweepTrace, error_signal
+from test_golden import SCENARIOS, run_scenario
 
 PLANT = PlantConfig(base_detuning=0.5e9)
 RAMP = RampConfig(span=3.0e9)
@@ -763,6 +764,13 @@ def closed_loop_cases(draw):
     return plant, ramp, pid, lock, run
 
 
+TIE_DT = 2**-13
+TIE_LOCK = LockConfig(hold_time=160 * TIE_DT, loss_time=80 * TIE_DT, relock_delay=400 * TIE_DT,
+                      sweep_time=32 * TIE_DT)
+TIE_DISTURBANCES = Disturbances(temp_step_k=0.1, temp_step_time_s=1024 * TIE_DT,
+                                detuning_step_hz=5e6, detuning_step_time_s=512 * TIE_DT)
+
+
 @settings(max_examples=100, deadline=None)
 @given(closed_loop_cases())
 # 6 * dt + dt and 7 * dt round to either side of this time, so steps 6 and 7
@@ -782,6 +790,18 @@ def closed_loop_cases(draw):
 @example((PLANT, RAMP, PidConfig(ki=0.4), LockConfig(relock_delay=0.01), dict(
     duration=0.2, dt=1e-4, seed=1, noise_enabled=True, start_locked=True,
     disturbances=Disturbances(detuning_step_hz=5e6, detuning_step_time_s=0.05),
+)))
+# With dt = 2**-13 the phase clocks sum exactly, so every phase time and
+# disturbance time below, a multiple of dt, ties the kernel's >= tests:
+# sweeping, engaging, a threshold loss after the detuning step, the relock
+# delay and the temperature step all end on a tie.
+@example((PLANT, RAMP, PidConfig(ki=0.4), TIE_LOCK, dict(
+    duration=2048 * TIE_DT, dt=TIE_DT, seed=1, noise_enabled=True, start_locked=False,
+    disturbances=TIE_DISTURBANCES,
+)))
+@example((PLANT, RAMP, PidConfig(ki=0.4), TIE_LOCK, dict(
+    duration=2048 * TIE_DT, dt=TIE_DT, seed=1, noise_enabled=False, start_locked=True,
+    disturbances=TIE_DISTURBANCES,
 )))
 def test_kernel_matches_the_reference_loop(table, default_cfg, case):
     plant, ramp, pid, lock, run = case
@@ -817,3 +837,30 @@ def test_temp_step_time_must_be_finite(table, default_cfg):
     # A time <= 0 applies the step from the first step.
     assert temperature(-1.0).tobytes() == temperature(0.0).tobytes()
     assert temperature(0.0)[0] > temperature(None)[0]
+
+    # The step's first step is found before the loop by the loop's own test,
+    # k * dt >= time, and no finite time overflows that search.
+    def temperature_bytes(time_s):
+        return temperature(time_s).tobytes()
+
+    never, first = temperature_bytes(None), temperature_bytes(0.0)
+    assert temperature_bytes(1e300) == temperature_bytes(1.0) == never
+    assert temperature_bytes(-1e300) == temperature_bytes(-0.0) == first
+    # The least positive time is first reached by step 1, at t = dt.
+    assert temperature_bytes(5e-324) == temperature_bytes(1e-4) != first
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_prebuilt_error_map_gives_the_same_run(name, default_cfg, table):
+    # The harness hands each run its config's map; a run that builds its
+    # own must log the same bytes.
+    spec = SCENARIOS[name]
+    plant, ramp, lock = (replace(getattr(default_cfg, section), **spec.get(section, {}))
+                         for section in ("plant", "ramp", "lock"))
+    error_map = build_error_map(table, default_cfg.medium, plant, ramp, lock)
+    own = run_scenario(default_cfg, table, spec)
+    given_map = run_scenario(default_cfg, table, {**spec, "error_map": error_map})
+    for column in ("t", "detuning", "error", "control", "temperature"):
+        assert getattr(given_map, column).tobytes() == getattr(own, column).tobytes(), column
+    assert given_map.transitions == own.transitions
+    assert repr(given_map.meta) == repr(own.meta)

@@ -45,3 +45,36 @@ def test_no_unlisted_test_only_code():
     # Code that nothing in the package calls is deleted, or it is listed
     # above with the test that holds it.
     assert set(unreached_definitions()) == set(TEST_ONLY)
+
+
+# The global and builtin names that the body of closed_loop_run's loop may
+# read. Each is read only off the engaging and locked path (a map miss,
+# sweeping, an engage, a derivative window, an abort) or on an exception.
+KERNEL_LOOP_GLOBALS = {
+    "_interp", "ramp_waveform", "ModeHopError", "_PID_START",
+    "math", "str", "sum", "len",
+    "IndexError", "OverflowError", "ValueError",
+}
+
+
+def loop_globals(function):
+    """Names that the body of `function`'s top-level for loop reads and that
+    the function does not bind: globals and builtins."""
+    bound = {arg.arg for arg in ast.walk(function.args) if isinstance(arg, ast.arg)}
+    bound |= {node.id for node in ast.walk(function)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    bound |= {node.name for node in ast.walk(function)
+              if isinstance(node, ast.ExceptHandler) and node.name}
+    (loop,) = [node for node in function.body if isinstance(node, ast.For)]
+    return {node.id for statement in loop.body for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and node.id not in bound}
+
+
+def test_kernel_loop_reads_only_listed_globals():
+    # A global or builtin looked up on every step costs a dict lookup per
+    # step; the kernel binds such names to locals before its loop.
+    tree = ast.parse((SOURCE / "servo.py").read_text(encoding="utf-8"))
+    (kernel,) = [top for top in tree.body
+                 if isinstance(top, ast.FunctionDef) and top.name == "closed_loop_run"]
+    assert loop_globals(kernel) == KERNEL_LOOP_GLOBALS
