@@ -19,7 +19,13 @@ numpy integer arithmetic, in three steps:
 3. Rows. Each value fills a 32-byte slot, with NUL bytes where it has no
    character. The slots of a block and its separators become one byte
    string, and deleting the NULs leaves the CSV text.
+
+Reading goes the other way: `nearest_doubles` rounds decimal digits times
+a power of 10 to the nearest double, as float() does, with the same kind
+of 128-bit power-of-5 arithmetic.
 """
+
+import functools
 
 import numpy as np
 
@@ -322,3 +328,85 @@ def csv_rows(columns):
             for k, col in enumerate(columns)
         ], axis=1)
     return cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# Reading: decimal to double
+# ---------------------------------------------------------------------------
+
+_Q_MIN, _Q_MAX = -342, 308        # beyond these, w * 10**q is 0 or inf for any w < 2**64
+
+
+@functools.cache
+def _pow5_128():
+    """(high, low) uint64 words of 5**q scaled into [2**127, 2**128), for q
+    from _Q_MIN to _Q_MAX: truncated for q >= 0, and for q < 0 one more than
+    a quotient truncated to 128 bits, as Eisel-Lemire tabulates them."""
+    words = []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        p = 5 ** abs(q)
+        if q < 0:
+            z = p.bit_length()
+            c = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // p + 1
+            c >>= max(c.bit_length() - 128, 0)
+        else:
+            c = p << 128 >> p.bit_length()
+        words.append((c >> 64, c & _M64))
+    return tuple(np.array(column, dtype=np.uint64) for column in zip(*words))
+
+
+def _mul128(a, b):
+    """(high, low) uint64 words of the 128-bit products a * b of uint64 arrays."""
+    a0, a1 = a & _M32, a >> 32
+    b0, b1 = b & _M32, b >> 32
+    p01 = a0 * b1
+    p10 = a1 * b0
+    mid = ((a0 * b0) >> 32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), a * b
+
+
+def nearest_doubles(w, q):
+    """The Eisel-Lemire algorithm (D. Lemire, "Number Parsing at a Gigabyte
+    per Second", Softw. Pract. Exp. 51, 2021) for uint64 digits w < 2**63
+    and int64 decimal exponents q: (bits, redo), the uint64 bit patterns of
+    the doubles nearest w * 10**q, ties to even, and a mask of the values it
+    leaves to float(), whose bits are then undefined. Those are the values
+    whose rounding the truncated product cannot settle, results below the
+    normal range or above the finite one, and q outside [_Q_MIN, _Q_MAX].
+    Only integer arithmetic and exact conversions are used."""
+    high_table, low_table = _pow5_128()
+    nonzero = w != 0
+    k = np.clip(q, _Q_MIN, _Q_MAX)
+    # Normalize w to a leading 1 bit. The double nearest w has w's binary
+    # exponent or the next one up; one test tells them apart.
+    lz = 1086 - (w.astype(np.float64).view(np.uint64) >> 52)
+    w = w << lz
+    more = (w >> 63) ^ 1
+    w <<= more
+    lz += more
+    # The top 128 bits of w * 5**k, with the table's low word only where a
+    # carry out of the low word could reach the 55 bits that are kept.
+    high, low = _mul128(w, high_table[k - _Q_MIN])
+    redo = k != q
+    check = np.flatnonzero(((high & 0x1FF) == 0x1FF) & (low + w < low))
+    if len(check):
+        w2 = w[check]
+        carry_high, carry_low = _mul128(w2, low_table[k[check] - _Q_MIN])
+        low2 = low[check] + carry_high
+        high2 = high[check] + (low2 < carry_high)
+        high[check], low[check] = high2, low2
+        redo[check] |= (low2 == _M64) & ((high2 & 0x1FF) == 0x1FF) & (carry_low + w2 < carry_low)
+    upper = high >> 63
+    shift = upper + 9
+    mantissa = high >> shift                  # 53 bits and the rounding bit
+    # A product with zeros below the rounding bit, but for the table's
+    # rounding in the low word, may lie halfway between two doubles.
+    redo |= (low <= 1) & ((mantissa << shift) == high) & ((mantissa & 3) == 1)
+    mantissa += mantissa & 1
+    mantissa >>= 1
+    power2 = ((217706 * k) >> 16) + 1086 + upper.view(np.int64) - lz.view(np.int64)
+    redo |= power2 <= 0
+    power2 += (mantissa >> 53).view(np.int64)
+    redo |= power2 >= 0x7FF
+    bits = (mantissa & ((1 << _MANTISSA_BITS) - 1)) | (power2.view(np.uint64) << 52)
+    return np.where(nonzero, bits, np.uint64(0)), redo & nonzero

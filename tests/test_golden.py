@@ -29,6 +29,28 @@ ARTIFACTS = {
 }
 
 
+# float_kernels()'s probe digest on the host where the digests were pinned:
+# numpy 2.4.6 running its AVX-512 kernels. Other float kernels round np.exp
+# and np.power differently, and the sweep and lock digests then move too.
+PINNED_KERNELS = "a350abe7770e4c24b4867ca91cd05ce7a389fec3e03610a1d167d3e315f3cb14"
+
+
+def float_kernels():
+    """numpy's version and dispatched CPU features, and a sha256 of np.exp and
+    np.power over a fixed probe vector, beside the one the digests were
+    pinned with: a failure message that says whether the float kernels moved."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:     # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    features = " ".join(sorted(name for name, on in __cpu_features__.items() if on))
+    probe = np.linspace(-745.0, 709.0, 4097)
+    kernels = hashlib.sha256(np.exp(probe).tobytes())
+    kernels.update(np.power(np.linspace(0.01, 10.0, 4097), probe / 100.0).tobytes())
+    return (f"float kernels: numpy {np.__version__}, CPU features [{features}], "
+            f"np.exp/np.power probe sha256 {kernels.hexdigest()} (pinned with {PINNED_KERNELS})")
+
+
 def test_saslock_all_artifacts(sweep_run, lock_run, temp_step_pos, fluorescence_run):
     # The session fixtures run the four experiments of `saslock all` with
     # its defaults, each into its own directory.
@@ -36,7 +58,7 @@ def test_saslock_all_artifacts(sweep_run, lock_run, temp_step_pos, fluorescence_
     for _, out in (sweep_run, lock_run, temp_step_pos, fluorescence_run):
         for path in out.iterdir():
             digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digests == ARTIFACTS
+    assert digests == ARTIFACTS, float_kernels()
 
 
 # Each scenario: keyword arguments of closed_loop_run, with `plant`, `ramp`,
@@ -99,4 +121,4 @@ def log_digest(log):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_closed_loop_scenario(name, default_cfg, table):
     log = run_scenario(default_cfg, table, SCENARIOS[name])
-    assert log_digest(log) == SCENARIO_DIGESTS[name]
+    assert log_digest(log) == SCENARIO_DIGESTS[name], float_kernels()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies
 
-from saslock import atomic_data, servo
+from saslock import atomic_data, servo, spectrum
 from saslock.atomic_data import find_feature
 from saslock.cli import main as cli_main
 from saslock.errors import ConfigError, IngestError, SweepError
@@ -896,9 +896,9 @@ def commented_trace_csvs(draw):
 
 @strategies.composite
 def clean_series_csvs(draw):
-    """CSV text with leading blank and `# key=value` lines, an optional header
-    and at least one row of finite floats, with no blank or '#' line after
-    the header."""
+    """(text, padded): CSV text with leading blank and `# key=value` lines, an
+    optional header and at least one row of finite floats, with no blank or
+    '#' line after the header, and whether a cell of a row has blanks."""
     finite = strategies.floats(allow_nan=False, allow_infinity=False)
     width = draw(strategies.integers(1, 4))
     pad = strategies.sampled_from(["", " ", "\t"])
@@ -909,7 +909,51 @@ def clean_series_csvs(draw):
     rows = draw(strategies.lists(strategies.lists(finite, min_size=width, max_size=width),
                                  min_size=1, max_size=12))
     body = [",".join(draw(pad) + repr(v) + draw(pad) for v in row) for row in rows]
-    return "\n".join(head + body) + "\n"
+    return "\n".join(head + body) + "\n", any(" " in row or "\t" in row for row in body)
+
+
+@strategies.composite
+def plain_bodies(draw, min_width=1):
+    """(head, rows, eol): a `# key=value` line or none and a header, then rows
+    of cells in the plain grammar `[+-]digits[.digits][(e|E)[+-]digits]`,
+    with '\n' or '\r\n' line ends. Some cells have 19 digits, which numpy's
+    int64 parser holds, and some 20, which it does not."""
+    finite = strategies.floats(allow_nan=False, allow_infinity=False)
+    moderate = strategies.floats(-1e300, 1e300)     # "%.17e" would round max to inf
+    digits = strategies.one_of(strategies.integers(10**18, 9 * 10**18 - 1),
+                               strategies.integers(10**19, 10**20 - 1)).map(str)
+    cell = strategies.one_of(
+        finite.map(repr),
+        strategies.sampled_from(["5e-324", "1.7976931348623157e308", "-0.0", ".5", "5.", "+5",
+                                 "-7", "0", "1E+05", "2.5e-07"]),
+        strategies.integers(-10**6, 10**6).map(str),
+        strategies.tuples(moderate, strategies.sampled_from(["%.6E", "%+.3e", "%.17e"]))
+        .map(lambda pair: pair[1] % pair[0]),
+        strategies.floats(-1e7, 1e7).map("%.10f".__mod__),
+        strategies.tuples(digits, strategies.integers(0, 20))
+        .map(lambda pair: pair[0][:pair[1]] + "." + pair[0][pair[1]:]),
+    )
+    width = draw(strategies.integers(min_width, 4))
+    rows = draw(strategies.lists(strategies.lists(cell, min_size=width, max_size=width),
+                                 min_size=1, max_size=12))
+    head = ["# format=sas-test/1"] * draw(strategies.booleans()) + [
+        ",".join(f"c{i}" for i in range(width))]
+    return head, rows, draw(strategies.sampled_from(["\n", "\r\n"]))
+
+
+def plain_text(head, rows, eol):
+    return eol.join(head + [",".join(row) for row in rows]) + eol
+
+
+def spy_loadtxt(calls):
+    """np.loadtxt patched to append the `comments` of each call to `calls`."""
+    loadtxt = np.loadtxt
+
+    def spy(lines, **kwargs):
+        calls.append(kwargs["comments"])
+        return loadtxt(lines, **kwargs)
+
+    return mock.patch.object(np, "loadtxt", spy)
 
 
 class TestSeriesCsvProperties:
@@ -949,8 +993,10 @@ class TestSeriesCsvProperties:
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(clean_series_csvs())
-    def test_clean_body_reads_as_the_filtered_one(self, tmp_path, text):
-        # A '#' on the last row sends the same rows down the filter route.
+    def test_clean_body_reads_as_the_filtered_one(self, tmp_path, case):
+        # A plain body takes the plain route, and a padded one np.loadtxt's;
+        # a '#' on the last row sends the same rows down the filter route.
+        text, padded = case
         calls = []
         loadtxt = np.loadtxt
 
@@ -963,10 +1009,11 @@ class TestSeriesCsvProperties:
         commented.write_text(text[:-1] + " # c\n", encoding="utf-8")
         with mock.patch.object(np, "loadtxt", spy):
             meta, header, rows = read_series_csv(clean)
-            assert calls == [(clean, None)]
+            assert calls == ([(clean, None)] if padded else [])
+            calls.clear()
             filtered = read_series_csv(commented)
-            assert [comments for _, comments in calls] == [None, None, "#"]
-            assert calls[1][0] == commented
+            assert [comments for _, comments in calls] == [None, "#"]
+            assert calls[0][0] == commented
         assert (meta, header) == filtered[:2]
         assert rows.shape == filtered[2].shape
         assert rows.tobytes() == filtered[2].tobytes()
@@ -980,22 +1027,18 @@ class TestSeriesCsvProperties:
         ("# format=x\n \nt,r,p\n", {"format": "x"}, ["t", "r", "p"], 0),
     ], ids=["blank-lines-among-comments", "numeric-first-row", "no-head", "header-without-rows"])
     def test_head_reads_as_the_filtered_one(self, tmp_path, eol, text, meta, header, count):
-        # skiprows counts the head's physical lines, as readline does, at
-        # every line end; the commented copy takes the filter route.
+        # The plain route reads a body with rows and '\n' or '\r\n' line ends,
+        # and np.loadtxt the rest. The head's physical lines are skipped, as
+        # readline counts them, at every line end; the commented copy takes
+        # the filter route.
         commented = text[:-1] + " # c\n" if count else text + "# c\n"
-        calls = []
-        loadtxt = np.loadtxt
-
-        def spy(lines, **kwargs):
-            calls.append(kwargs["comments"])
-            return loadtxt(lines, **kwargs)
-
+        plain = [] if count and eol != "\r" else [None]
         results = []
-        for body, routes in ((text, [None]), (commented, [None, "#"])):
+        for body, routes in ((text, plain), (commented, [None, "#"])):
             path = tmp_path / "head.csv"
             path.write_bytes(body.replace("\n", eol).encode("utf-8"))
-            calls.clear()
-            with mock.patch.object(np, "loadtxt", spy):
+            calls = []
+            with spy_loadtxt(calls):
                 results.append(read_series_csv(path))
             assert calls == routes
         (got_meta, got_header, rows), filtered = results
@@ -1003,6 +1046,41 @@ class TestSeriesCsvProperties:
         assert rows.shape == filtered[2].shape
         assert rows.tobytes() == filtered[2].tobytes()
         assert len(rows) == count
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(plain_bodies(), strategies.sampled_from([1, 7, 64, spectrum._READ_BLOCK]),
+           strategies.integers(0, 2))
+    def test_plain_body_reads_as_loadtxt(self, tmp_path, case, block, empty_lines):
+        # The plain route reads every body in its grammar, and empty last
+        # lines, in blocks of any size, bit for bit as np.loadtxt does; a
+        # 20-digit cell declines.
+        head, rows, eol = case
+        path = tmp_path / "plain.csv"
+        path.write_bytes((plain_text(head, rows, eol) + eol * empty_lines).encode("utf-8"))
+        expected = np.loadtxt(path, delimiter=",", skiprows=len(head), ndmin=2)
+        calls = []
+        with spy_loadtxt(calls), mock.patch.object(spectrum, "_READ_BLOCK", block):
+            _, header, got = read_series_csv(path)
+        saturates = any(sum(map(str.isdigit, c.lower().partition("e")[0])) >= 20
+                        for row in rows for c in row)
+        assert calls == ([None] if saturates else [])
+        assert header == head[-1].split(",")
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @pytest.mark.parametrize("cell", ["1.2.3", "1e", "e5", "--1", "1-2", "", "1 2"])
+    @given(case=plain_bodies(min_width=2), data=strategies.data())
+    def test_malformed_cell_declines_and_names_its_line(self, tmp_path, cell, case, data):
+        head, rows, eol = case
+        k = data.draw(strategies.integers(0, len(rows) - 1))
+        rows[k][data.draw(strategies.integers(0, len(rows[k]) - 1))] = cell
+        calls = []
+        with spy_loadtxt(calls), pytest.raises(ValueError, match=f"^line {len(head) + k + 1}: "):
+            read_series_csv(write_source(tmp_path, plain_text(head, rows, eol)))
+        assert calls == [None, "#"]
 
     def test_key_value_line_after_the_header_reaches_meta(self, tmp_path):
         text = "# format=x\nt,r,p\n" + numeric_rows(4) + "# gain = 2\n" + numeric_rows(4, start=4)

@@ -2,18 +2,20 @@
 
 import io
 import itertools
+import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies
+from hypothesis import HealthCheck, example, given, settings, strategies
 
 from saslock import spectrum
-from saslock._reprcsv import csv_rows
+from saslock._reprcsv import _pow5_128, csv_rows, nearest_doubles
 from saslock.atomic_data import Isotope, LineTable, TransitionLine, find_feature
 from saslock.errors import NoSubDopplerFeaturesError, SweepError
 from saslock.harness import _envelope_valleys, manifold_window
@@ -625,6 +627,67 @@ class TestReprCsv:
         values = np.random.default_rng(9).integers(0, 2**64, 50_000, dtype=np.uint64,
                                                    endpoint=False).view(np.float64)
         assert csv_rows([values]) == repr_lines(values)
+
+
+def float_and_redo(w, q):
+    """The bits of float("{w}e{q}"), and whether nearest_doubles must leave
+    w * 10**q to float(): q outside [-342, 308], a value below the normal
+    range or rounding to inf, or a tie that rounds down to the even double."""
+    x = float(f"{w}e{q}")
+    if w == 0:
+        return np.float64(x).view(np.uint64), False
+    exact = Fraction(w) * Fraction(10) ** q if -400 < q < 400 else None
+    tie_down = exact is not None and x < exact and (
+        2 * exact == Fraction(x) + Fraction(math.nextafter(x, math.inf)))
+    redo = exact is None or not -342 <= q <= 308 or exact < 2**-1022 or math.isinf(x) or tie_down
+    return np.float64(x).view(np.uint64), redo
+
+
+class TestNearestDoubles:
+    """nearest_doubles rounds w * 10**q as float() does, and leaves only the
+    values it cannot settle to float()."""
+
+    @staticmethod
+    def check(pairs):
+        w = np.array([w for w, _ in pairs], dtype=np.uint64)
+        q = np.array([q for _, q in pairs], dtype=np.int64)
+        bits, redo = nearest_doubles(w, q)
+        for k, (wk, qk) in enumerate(pairs):
+            want, must_redo = float_and_redo(wk, qk)
+            assert bool(redo[k]) == must_redo, (wk, qk)
+            assert redo[k] or bits[k] == want, (wk, qk)
+
+    @settings(max_examples=300, deadline=None)
+    @given(strategies.lists(strategies.tuples(
+        strategies.one_of(strategies.integers(0, 2**63 - 2),
+                          strategies.integers(0, 19).map(lambda n: 10**n - 1),
+                          strategies.integers(1, 10**17)),
+        strategies.integers(-350, 320)), min_size=1, max_size=16))
+    @example([(73177701707893310, -1)])           # needs the table's low word
+    @example([(9007199254740993, 0), (45035996273704965, -1), (225179981368524825, -2),
+              (1125899906842624125, -3), (5629499534213120625, -4), (1, 23), (841, 19),
+              (1299435973, 10)])                  # ties that round down to even
+    @example([(9007199254740995, 0), (45035996273704975, -1), (5, -1)])   # up, or no tie
+    @example([(90071992547409919, -1), (17976931348623157, 292), (17976931348623159, 292)])
+    @example([(22250738585072014, -324), (22250738585072011, -324), (5, -324), (1, -342)])
+    @example([(1, -343), (1, 308), (1, 309), (0, 400), (0, -400), (2**63 - 2, -19)])
+    def test_matches_float(self, pairs):
+        self.check(pairs)
+
+    def test_power_table(self):
+        # 5**q scaled into [2**127, 2**128): truncated, but for -27 <= q < 0,
+        # where Eisel-Lemire rounds the reciprocal up by one.
+        high, low = _pow5_128()
+        for q, h, lo in zip(range(-342, 309), high.tolist(), low.tolist()):
+            p = 5 ** abs(q)
+            scaled = p << 128 >> p.bit_length() if q >= 0 else (1 << 127 + p.bit_length()) // p
+            assert h << 64 | lo == scaled + (-27 <= q < 0), q
+
+    def test_random_decimals(self):
+        rng = np.random.default_rng(26)
+        w = rng.integers(1, 10**17, 20_000, dtype=np.int64) >> rng.integers(0, 57, 20_000)
+        q = rng.integers(-345, 312, 20_000)
+        self.check(list(zip(w.tolist(), q.tolist())))
 
 
 class TestSeriesCsvWriter:
