@@ -75,15 +75,14 @@ _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
 _HALF = np.array([1] + [5 * 10**k for k in range(19)], dtype=np.uint64)   # 10**k / 2; 1 for k = 0
 
 
-def _mul_high(a0, a1, b):
-    """The high word of the 128-bit product (a1 * 2**32 + a0) * b, for
-    a0 < 2**32, a1 < 2**23 and b < 2**64."""
-    b0 = b & _M32
-    b1 = b >> 32
-    p00 = a0 * b0
+def _mul128(a, b):
+    """(high, low) uint64 words of the 128-bit products a * b of uint64 arrays."""
+    a0, a1 = a & _M32, a >> 32
+    b0, b1 = b & _M32, b >> 32
     p01 = a0 * b1
-    mid = (p00 >> 32) + (p01 & _M32) + a1 * b0
-    return a1 * b1 + (p01 >> 32) + (mid >> 32)
+    p10 = a1 * b0
+    mid = ((a0 * b0) >> 32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), a * b
 
 
 def shortest_digits(bits):
@@ -103,11 +102,10 @@ def shortest_digits(bits):
     # and the lower bound (mv - 1 - mm_shift) * mul from it; each is wanted
     # shifted right by j, which takes bits of its upper two words only.
     mul_lo, mul_hi = _MUL_LO[e], _MUL_HI[e]
-    a0, a1 = mv & _M32, mv >> 32
-    x0 = mv * mul_lo                     # uint64 products wrap to the low word
-    low_hi = mv * mul_hi
-    x1 = _mul_high(a0, a1, mul_lo) + low_hi
-    x2 = _mul_high(a0, a1, mul_hi) + (x1 < low_hi)
+    high_lo, x0 = _mul128(mv, mul_lo)
+    x2, low_hi = _mul128(mv, mul_hi)
+    x1 = high_lo + low_hi
+    x2 += x1 < low_hi
     up0 = x0 + (mul_lo << 1)
     up1 = x1 + ((mul_hi << 1) | (mul_lo >> 63)) + (up0 < x0)
     up2 = x2 + (up1 < x1)
@@ -353,16 +351,6 @@ def _pow5_128():
             c = p << 128 >> p.bit_length()
         words.append((c >> 64, c & _M64))
     return tuple(np.array(column, dtype=np.uint64) for column in zip(*words))
-
-
-def _mul128(a, b):
-    """(high, low) uint64 words of the 128-bit products a * b of uint64 arrays."""
-    a0, a1 = a & _M32, a >> 32
-    b0, b1 = b & _M32, b >> 32
-    p01 = a0 * b1
-    p10 = a1 * b0
-    mid = ((a0 * b0) >> 32) + (p01 & _M32) + (p10 & _M32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), a * b
 
 
 def nearest_doubles(w, q):

@@ -686,21 +686,18 @@ def read_series_csv(path):
     whole-line `# key=value` comment goes into the dict `meta`. The first
     remaining line is the header (a list of str), or None when it is all
     numbers. The lines up to it, the head, are read one at a time; the body
-    after it is read by the first of four routes that succeeds:
+    after it is read by the first of two routes that succeeds:
     - the plain route reads a body in which every cell is
       `[+-]digits[.digits][(e|E)[+-]digits]`, cells are split by ',' and
       lines end in '\n' or '\r\n', but for empty last lines, as float()
       reads each cell; numpy's C integer parser reads the digits, and
       nearest_doubles rounds them (_plain_rows);
-    - np.loadtxt reads the path as it stands, with no comment character,
-      skipping the head's lines; numpy parses a path in C, in chunks;
-    - when that fails (a '#' or a line of blanks fails it) or a row is not
-      finite or as wide as the header, the body is reread through a filter
-      of blank and '#' lines;
-    - when that fails too, the file is reread from the start to raise
-      ValueError("line N: ...") for the first row that is not numeric, as
-      wide as the header (or the first row) or finite.
-    Every route that succeeds gives the same bits.
+    - np.loadtxt reads the body's lines through a filter of blank and '#'
+      lines, when the plain route declines it or a row is not finite or as
+      wide as the header.
+    When both fail, the file is reread from the start to raise
+    ValueError("line N: ...") for the first row that is not numeric, as wide
+    as the header (or the first row) or finite. Both routes give the same bits.
     """
     meta = {}
 
@@ -709,38 +706,35 @@ def read_series_csv(path):
         if sep:
             meta[key.strip()] = value.strip()
 
-    with open(path, encoding="utf-8") as fileobj:
-        head, start, first = 0, fileobj.tell(), fileobj.readline()
+    # newline="" keeps each line's own end, so the head's UTF-8 length is the
+    # body's byte offset.
+    with open(path, encoding="utf-8", newline="") as fileobj:
+        body, first = 0, fileobj.readline()
         while first and first.lstrip()[:1] in ("", "#"):
             collect(first)
-            head, start, first = head + 1, fileobj.tell(), fileobj.readline()
+            body, first = body + len(first.encode()), fileobj.readline()
         header = [cell.strip() for cell in _row_body(first).split(",")]
         try:
             [float(cell) for cell in header]
-            header, body = None, start
+            header, lines = None, itertools.chain([first], fileobj)
         except ValueError:
-            head, body = head + 1, fileobj.tell()
+            body, lines = body + len(first.encode()), fileobj
         # np.loadtxt would read a line of blanks, or blanks before '#', as a
         # row; collect() runs only on those lines, and returns None to drop them.
-        filtered = (line for line in fileobj if line.lstrip()[:1] not in ("", "#") or collect(line))
-
-        def loadtxt(lines, comments, skiprows):
-            fileobj.seek(body)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                return np.loadtxt(lines, delimiter=",", comments=comments, ndmin=2,
-                                  skiprows=skiprows, encoding="utf-8")
-
-        for route in (lambda: _plain_rows(path, head), lambda: loadtxt(path, None, head),
-                      lambda: loadtxt(filtered, "#", 0)):
-            try:
-                rows = route()
-                if not np.isfinite(rows).all() or (
-                        header and len(rows) and rows.shape[1] != len(header)):
-                    raise ValueError("non-finite values or rows not as wide as the header")
-                return meta, header, rows
-            except ValueError as exc:
-                error = str(exc)
+        filtered = (line for line in lines if line.lstrip()[:1] not in ("", "#") or collect(line))
+        routes = (lambda: _plain_rows(path, body),
+                  lambda: np.loadtxt(filtered, delimiter=",", comments="#", ndmin=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # np.loadtxt's "input contained no data"
+            for route in routes:
+                try:
+                    rows = route()
+                    if not np.isfinite(rows).all() or (
+                            header and len(rows) and rows.shape[1] != len(header)):
+                        raise ValueError("non-finite values or rows not as wide as the header")
+                    return meta, header, rows
+                except ValueError as exc:
+                    error = str(exc)
         fileobj.seek(0)
         raise ValueError(_bad_row(fileobj, header) or error) from None
 
@@ -754,16 +748,12 @@ _TOKENS = bytes.maketrans(b"\neE", b",,,")     # every mark that ends a run of d
 _DOT, _COMMA, _NEWLINE, _PLUS, _MINUS, _E = b".,\n+-e"
 
 
-def _plain_rows(path, head):
-    """The body after the first `head` lines of the file at `path` as a
-    (rows, width) float64 array, when it has a row and every line but empty
-    last ones, which np.loadtxt skips, is in the plain grammar; ValueError
-    when not."""
+def _plain_rows(path, body):
+    """The body from byte `body` of the file at `path` as a (rows, width)
+    float64 array, when it has a row and every line but empty last ones,
+    which np.loadtxt skips, is in the plain grammar; ValueError when not."""
     blocks, carry = [], b""
     with open(path, "rb") as raw:
-        if b"\r" in b"".join(itertools.islice(raw, head)).replace(b"\r\n", b""):
-            raise ValueError("a lone '\\r' ends a line of the head")
-        body = raw.tell()
         raw.seek(max(body, raw.seek(0, 2) - 4096))
         tail = raw.read()
         end = raw.tell() - len(tail) + len(tail.rstrip(b"\r\n"))

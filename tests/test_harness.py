@@ -34,6 +34,7 @@ from saslock.harness import (
 )
 from saslock.servo import (
     LEGAL_TRANSITIONS,
+    Disturbances,
     TimeSeriesLog,
     closed_loop_run,
     validate_phase_sequence,
@@ -480,6 +481,32 @@ class TestTempStepExperiment:
         assert "delta_control_v" not in report.measured
         assert not report.passed
 
+    def test_locked_transient_follows_the_type_1_loop(self, default_cfg, table):
+        # Locked, the loop is a type-1 PI loop with velocity constant
+        # K_v = |k_current k_ctrl slope ki|. The step drives the detuning at
+        # k_temp dT/tau exp(-(t - t_step)/tau), so the offset from the lock
+        # point is that rate over K_v (J. Bechhoefer, Rev. Mod. Phys. 77, 783
+        # (2005)). Noise off, the loop's 100-sample means match it to 1e-3
+        # from 50 ms after the step (369 kHz) to 11 s after it (1.5 kHz).
+        cfg = default_cfg
+        t_step, tau = cfg.run.temp_step_time_s, cfg.plant.tau_thermal
+        log = closed_loop_run(
+            table, cfg.medium, cfg.plant, cfg.ramp, cfg.pid, cfg.lock,
+            duration=cfg.run.temp_step_duration_s, dt=cfg.run.dt_s, noise_enabled=False,
+            disturbances=Disturbances(temp_step_k=cfg.run.temp_step_k, temp_step_time_s=t_step),
+            error_map=cfg.error_map,
+        )
+        _, _, lock_point, _, _ = cfg.error_map
+        k_v = abs(cfg.plant.k_current * cfg.plant.k_ctrl * lock_point.slope * cfg.pid.ki)
+        rate = cfg.plant.k_temp * cfg.run.temp_step_k / tau
+        offset = np.asarray(log.detuning) - log.meta["lock_point_hz"]
+        for t in (1.05, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0):
+            first = int(np.searchsorted(log.t, t))
+            window = slice(first, first + 100)
+            assert set(log.phase[window]) == {"locked"}
+            predicted = np.mean(rate / k_v * np.exp(-(np.asarray(log.t[window]) - t_step) / tau))
+            assert np.mean(offset[window]) == pytest.approx(predicted, rel=1e-3)
+
     def test_resettle_metrics_present(self, temp_step_pos):
         report, _ = temp_step_pos
         assert report.measured["max_detuning_excursion_hz"] < 2.0e6
@@ -896,9 +923,10 @@ def commented_trace_csvs(draw):
 
 @strategies.composite
 def clean_series_csvs(draw):
-    """(text, padded): CSV text with leading blank and `# key=value` lines, an
-    optional header and at least one row of finite floats, with no blank or
-    '#' line after the header, and whether a cell of a row has blanks."""
+    """(text, padded, head): CSV text with leading blank and `# key=value`
+    lines, an optional header and at least one row of finite floats, with no
+    blank or '#' line after the header; whether a cell of a row has blanks;
+    and the number of lines before the first row."""
     finite = strategies.floats(allow_nan=False, allow_infinity=False)
     width = draw(strategies.integers(1, 4))
     pad = strategies.sampled_from(["", " ", "\t"])
@@ -909,7 +937,8 @@ def clean_series_csvs(draw):
     rows = draw(strategies.lists(strategies.lists(finite, min_size=width, max_size=width),
                                  min_size=1, max_size=12))
     body = [",".join(draw(pad) + repr(v) + draw(pad) for v in row) for row in rows]
-    return "\n".join(head + body) + "\n", any(" " in row or "\t" in row for row in body)
+    padded = any(" " in row or "\t" in row for row in body)
+    return "\n".join(head + body) + "\n", padded, len(head)
 
 
 @strategies.composite
@@ -994,26 +1023,23 @@ class TestSeriesCsvProperties:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(clean_series_csvs())
     def test_clean_body_reads_as_the_filtered_one(self, tmp_path, case):
-        # A plain body takes the plain route, and a padded one np.loadtxt's;
-        # a '#' on the last row sends the same rows down the filter route.
-        text, padded = case
-        calls = []
-        loadtxt = np.loadtxt
-
-        def spy(lines, **kwargs):
-            calls.append((lines, kwargs["comments"]))
-            return loadtxt(lines, **kwargs)
-
+        # A plain body takes the plain route, and a padded one the filter
+        # route, as np.loadtxt reads it; a '#' on the last row sends the same
+        # rows down the filter route.
+        text, padded, head = case
         clean, commented = tmp_path / "clean.csv", tmp_path / "commented.csv"
         clean.write_text(text, encoding="utf-8")
         commented.write_text(text[:-1] + " # c\n", encoding="utf-8")
-        with mock.patch.object(np, "loadtxt", spy):
+        expected = np.loadtxt(clean, delimiter=",", skiprows=head, ndmin=2)
+        calls = []
+        with spy_loadtxt(calls):
             meta, header, rows = read_series_csv(clean)
-            assert calls == ([(clean, None)] if padded else [])
+            assert calls == (["#"] if padded else [])
             calls.clear()
             filtered = read_series_csv(commented)
-            assert [comments for _, comments in calls] == [None, "#"]
-            assert calls[0][0] == commented
+            assert calls == ["#"]
+        assert rows.shape == expected.shape
+        assert rows.tobytes() == expected.tobytes()
         assert (meta, header) == filtered[:2]
         assert rows.shape == filtered[2].shape
         assert rows.tobytes() == filtered[2].tobytes()
@@ -1028,13 +1054,13 @@ class TestSeriesCsvProperties:
     ], ids=["blank-lines-among-comments", "numeric-first-row", "no-head", "header-without-rows"])
     def test_head_reads_as_the_filtered_one(self, tmp_path, eol, text, meta, header, count):
         # The plain route reads a body with rows and '\n' or '\r\n' line ends,
-        # and np.loadtxt the rest. The head's physical lines are skipped, as
-        # readline counts them, at every line end; the commented copy takes
-        # the filter route.
+        # and the filter route the rest. The body starts at the head's length
+        # in bytes, at every line end; the commented copy takes the filter
+        # route.
         commented = text[:-1] + " # c\n" if count else text + "# c\n"
-        plain = [] if count and eol != "\r" else [None]
+        plain = [] if count and eol != "\r" else ["#"]
         results = []
-        for body, routes in ((text, plain), (commented, [None, "#"])):
+        for body, routes in ((text, plain), (commented, ["#"])):
             path = tmp_path / "head.csv"
             path.write_bytes(body.replace("\n", eol).encode("utf-8"))
             calls = []
@@ -1046,6 +1072,26 @@ class TestSeriesCsvProperties:
         assert rows.shape == filtered[2].shape
         assert rows.tobytes() == filtered[2].tobytes()
         assert len(rows) == count
+
+    @pytest.mark.parametrize("header_end", ["\r", "\n", "\r\n"])
+    def test_body_starts_at_the_heads_length_in_bytes(self, tmp_path, header_end):
+        # Lone-'\r' line ends and 2-byte UTF-8 characters in a comment and in
+        # the header: the plain route still reads the body, from the head's
+        # length in bytes.
+        values = np.random.default_rng(28).standard_normal((40, 3)) * 1e3
+        body = "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
+        path = tmp_path / "head.csv"
+        path.write_bytes(("# format=x\r# shield=\u00b5-metal\r\r  \r"
+                          f"t,r_\u00b5V,p{header_end}{body}").encode("utf-8"))
+        calls = []
+        with spy_loadtxt(calls):
+            meta, header, rows = read_series_csv(path)
+        assert calls == []
+        assert meta == {"format": "x", "shield": "\u00b5-metal"}
+        assert header == ["t", "r_\u00b5V", "p"]
+        expected = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
+        assert rows.shape == expected.shape
+        assert rows.tobytes() == expected.tobytes()
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1064,7 +1110,7 @@ class TestSeriesCsvProperties:
             _, header, got = read_series_csv(path)
         saturates = any(sum(map(str.isdigit, c.lower().partition("e")[0])) >= 20
                         for row in rows for c in row)
-        assert calls == ([None] if saturates else [])
+        assert calls == (["#"] if saturates else [])
         assert header == head[-1].split(",")
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
@@ -1080,7 +1126,7 @@ class TestSeriesCsvProperties:
         calls = []
         with spy_loadtxt(calls), pytest.raises(ValueError, match=f"^line {len(head) + k + 1}: "):
             read_series_csv(write_source(tmp_path, plain_text(head, rows, eol)))
-        assert calls == [None, "#"]
+        assert calls == ["#"]
 
     def test_key_value_line_after_the_header_reaches_meta(self, tmp_path):
         text = "# format=x\nt,r,p\n" + numeric_rows(4) + "# gain = 2\n" + numeric_rows(4, start=4)

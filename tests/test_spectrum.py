@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies
 
 from saslock import spectrum
-from saslock._reprcsv import _pow5_128, csv_rows, nearest_doubles
+from saslock._reprcsv import _MUL_HI, _pow5_128, csv_rows, nearest_doubles
 from saslock.atomic_data import Isotope, LineTable, TransitionLine, find_feature
 from saslock.errors import NoSubDopplerFeaturesError, SweepError
 from saslock.harness import _envelope_valleys, manifold_window
@@ -622,6 +622,13 @@ class TestReprCsv:
         # N + k/512 with k odd is an exact 18-digit decimal ending in 5.
         values = np.array([(n + (2 * k + 1) / 512) * (-1 if neg else 1) for n, k, neg in draws])
         assert csv_rows([values]) == repr_lines(values)
+
+    def test_multiplier_high_words(self):
+        # The bounds add (mul << 1) >> 64 to the product's middle word and
+        # subtract mul >> 64 or (mul << 1) >> 64 from it. Each word, with its
+        # carry, lies in [2**60, 2**63], so a carry compare never meets a
+        # word of 0 (or 2**64) there.
+        assert (_MUL_HI >= 2**60).all() and (_MUL_HI < 2**62).all()
 
     def test_random_bit_patterns(self):
         values = np.random.default_rng(9).integers(0, 2**64, 50_000, dtype=np.uint64,
